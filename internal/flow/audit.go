@@ -230,14 +230,11 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 		}
 		a.Circuits = append(a.Circuits, NetlintMerged(d.Name, arm.name, mapped, r.opt.Lib))
 		r.met.Timings.Observe("netlint", time.Since(start))
-		units, err := r.hazverUnits(arm.n, arm.mode)
+		hz, err := r.hazverAudit(d.Name, arm.name, arm.n, mapped, arm.mode)
 		if err != nil {
 			return nil, fmt.Errorf("%s arm: %w", arm.name, err)
 		}
-		start = time.Now()
-		a.Hazver = append(a.Hazver, hazver.Audit(d.Name+"."+arm.name, units, r.opt.Lib,
-			hazver.Options{Pool: r.pool, Ctx: r.ctx}))
-		r.met.Timings.Observe("hazver", time.Since(start))
+		a.Hazver = append(a.Hazver, hz)
 	}
 	return a, nil
 }

@@ -408,6 +408,25 @@ type synthEntry struct {
 	res     ControllerResult
 }
 
+// splice returns the entry's netlist renamed onto a rename-isomorphic
+// component: name is the component's, wires its canonical wires. The
+// rename is carried into techmap's derived helper nets, so the spliced
+// netlist is byte-identical to direct synthesis of the component —
+// regardless of which occurrence seeded the entry or whether it came
+// from the controller artifact cache.
+func (e *synthEntry) splice(name string, wires []string) *gates.Netlist {
+	sub := make(map[string]string, len(e.wires))
+	for i, w := range e.wires {
+		if w != wires[i] {
+			sub[w] = wires[i]
+		}
+	}
+	if len(sub) > 0 {
+		addDerivedRenames(sub, e.netlist.NetNames)
+	}
+	return e.netlist.Rename(name, sub)
+}
+
 // runner carries the shared state of one flow invocation: the
 // cancellation context, the worker pool, the canonical-form synthesis
 // cache (shared across both arms and, under RunAll, across designs)
@@ -417,7 +436,10 @@ type runner struct {
 	opt   Options // defaults applied; never the caller's struct
 	pool  *parallel.Pool
 	cache parallel.Memo[*synthEntry]
-	met   *Metrics
+	// hazverMemo holds the syntheses the hazver gate makes for
+	// verification only (hand-library shapes; see hazverUnits).
+	hazverMemo parallel.Memo[*synthEntry]
+	met        *Metrics
 }
 
 func newRunner(ctx context.Context, opt *Options) *runner {
@@ -574,23 +596,9 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, 
 	if err != nil {
 		return nil, ControllerResult{}, err
 	}
-	sub := make(map[string]string, len(entry.wires))
-	for i, w := range entry.wires {
-		if w != canon.Wires[i] {
-			sub[w] = canon.Wires[i]
-		}
-	}
-	if len(sub) > 0 {
-		// Carry the rename into techmap's derived helper nets, so the
-		// spliced netlist is byte-identical to direct synthesis of this
-		// component — regardless of which occurrence seeded the entry or
-		// whether it came from the controller artifact cache.
-		addDerivedRenames(sub, entry.netlist.NetNames)
-	}
-	nl := entry.netlist.Rename(comp.Name, sub)
 	res := entry.res
 	res.Name = comp.Name
-	return nl, res, nil
+	return entry.splice(comp.Name, canon.Wires), res, nil
 }
 
 // synthesizeNetlist fans the components of a control netlist out as
@@ -716,7 +724,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		if err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
-		if _, err := r.hazverGate(d.Name, "unopt", d.Control(), techmap.AreaShared); err != nil {
+		if _, err := r.hazverGate(d.Name, "unopt", d.Control(), mapped, techmap.AreaShared); err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
 		t, dpArea, events, benchDesc, err := r.simulate(d, mapped)
@@ -767,7 +775,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}
-		if _, err := r.hazverGate(d.Name, "opt", optNetlist, techmap.SpeedSplit); err != nil {
+		if _, err := r.hazverGate(d.Name, "opt", optNetlist, mapped, techmap.SpeedSplit); err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}
 		t, dpArea, events, _, err := r.simulate(d, mapped)

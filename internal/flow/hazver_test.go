@@ -1,10 +1,13 @@
 package flow
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,6 +18,7 @@ import (
 	"balsabm/internal/designs"
 	"balsabm/internal/gates"
 	"balsabm/internal/hazver"
+	"balsabm/internal/hclib"
 	"balsabm/internal/minimalist"
 	"balsabm/internal/techmap"
 )
@@ -88,9 +92,12 @@ type synthUnit struct {
 	unit hazver.Unit
 }
 
-// synthHazverUnits mirrors runner.hazverUnits but keeps the
-// intermediate controllers, so tests can tamper with netlists and
-// cross-check techmap.CheckMapped on the same synthesis products.
+// synthHazverUnits is the direct-synthesis oracle for the hazver gate:
+// one unit per distinct canonical shape, each compiled, minimized and
+// mapped afresh in the arm's mode (hand-library shapes included). It
+// keeps the intermediate controllers, so tests can tamper with
+// netlists and cross-check techmap.CheckMapped on the same synthesis
+// products.
 func synthHazverUnits(t testing.TB, n *core.Netlist, mode techmap.Mode) []synthUnit {
 	t.Helper()
 	lib := cell.AMS035()
@@ -218,16 +225,173 @@ search:
 		t.Errorf("no HZ001 at fn %q burst %d:\n%s", fnName, ti, hazver.Format(res.Diags, res.Name))
 	}
 
-	// The flow gate wraps exactly these findings as its abort error.
+	// The flow gate verifies the netlists the arm ships: with the
+	// tampered netlist in place of the component's shipped one, it
+	// aborts with exactly these findings.
 	var errDiags []hazver.Diag
 	for _, dg := range res.Diags {
 		if dg.Severity == hazver.SevError {
 			errDiags = append(errDiags, dg)
 		}
 	}
-	he := &HazverError{Design: "tamper", Arm: "opt", Diags: errDiags}
+	r := newRunner(context.Background(), nil)
+	mapped, _, err := r.synthesizeNetlist(d.Control(), techmap.SpeedSplit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := false
+	for i, comp := range d.Control().Components {
+		if comp.Name == tu.unit.Name {
+			mapped[i], shipped = nl, true
+		}
+	}
+	if !shipped {
+		t.Fatalf("tampered unit %q is not a component", tu.unit.Name)
+	}
+	_, err = r.hazverGate("tamper", "opt", d.Control(), mapped, techmap.SpeedSplit)
+	var he *HazverError
+	if !errors.As(err, &he) {
+		t.Fatalf("gate passed the shipped tampered netlist: %v", err)
+	}
 	if he.Circuit() != "tamper.opt" || !strings.Contains(he.Error(), "HZ001") {
 		t.Errorf("HazverError misses the finding: %s", he.Error())
+	}
+	if !reflect.DeepEqual(he.Diags, errDiags) {
+		t.Errorf("gate findings differ from the direct audit's:\n%s\nwant:\n%s", he.Error(),
+			hazver.Format(errDiags, "tamper.opt"))
+	}
+}
+
+// TestHazverGateMatchesResynthesis is the differential behind the
+// gate's reuse of the arm's own synthesis: for every Table 3 design in
+// both arms, the units the gate derives from the shipped netlists —
+// at Workers 1 and 8, and with every controller spliced from a warm
+// controller cache — carry the same burst provenance and byte-identical
+// netlists as the direct-synthesis oracle, and the audit result is
+// identical. It also pins the gate's own syntheses to the baseline
+// arm's hand-library shapes, shared across designs, and checks they
+// leave the synthesis-cache counters alone.
+func TestHazverGateMatchesResynthesis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes every Table 3 design several times")
+	}
+	lib := cell.AMS035()
+	type armCase struct {
+		design, arm string
+		n           *core.Netlist
+		mode        techmap.Mode
+		want        []synthUnit
+		wantRes     hazver.Result
+	}
+	var cases []armCase
+	canonComps := 0 // components that go through the synthesis cache
+	hclibUnits := 0 // per-arm units the gate must synthesize itself
+	hclibShapes := map[string]bool{}
+	for _, d := range designs.All() {
+		optNetlist, _, err := core.OptimizeOpt(d.Control(), core.Options{})
+		if err != nil {
+			t.Fatalf("%s: clustering: %v", d.Name, err)
+		}
+		for _, arm := range []struct {
+			name string
+			n    *core.Netlist
+			mode techmap.Mode
+		}{{"unopt", d.Control(), techmap.AreaShared}, {"opt", optNetlist, techmap.SpeedSplit}} {
+			want := synthHazverUnits(t, arm.n, arm.mode)
+			units := make([]hazver.Unit, len(want))
+			for i := range want {
+				units[i] = want[i].unit
+			}
+			cases = append(cases, armCase{d.Name, arm.name, arm.n, arm.mode, want,
+				hazver.Audit(d.Name+"."+arm.name, units, lib, hazver.Options{})})
+			seen := map[string]bool{}
+			for _, comp := range arm.n.Components {
+				canon, ok := ch.CanonicalizeProgram(comp)
+				if !ok {
+					continue
+				}
+				canonComps++
+				if _, isHclib := hclib.Build(comp); isHclib && arm.mode == techmap.AreaShared && !seen[canon.Key] {
+					hclibUnits++
+					hclibShapes[canon.Key] = true
+				}
+				seen[canon.Key] = true
+			}
+		}
+	}
+
+	t.Logf("%d hand-library units, %d distinct shapes", hclibUnits, len(hclibShapes))
+
+	warm := NewMemoryControllerCache()
+	for _, cfg := range []struct {
+		name    string
+		workers int
+		ctl     ControllerCache
+	}{
+		{"workers1", 1, nil},
+		{"workers8", 8, nil},
+		{"seed-cache", 2, warm},
+		{"warm-cache", 8, warm},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			met := &Metrics{}
+			r := newRunner(context.Background(), &Options{Workers: cfg.workers, Controllers: cfg.ctl, Metrics: met})
+			for _, c := range cases {
+				mapped, _, err := r.synthesizeNetlist(c.n, c.mode)
+				if err != nil {
+					t.Fatalf("%s.%s: %v", c.design, c.arm, err)
+				}
+				units, err := r.hazverUnits(c.n, mapped, c.mode)
+				if err != nil {
+					t.Fatalf("%s.%s: %v", c.design, c.arm, err)
+				}
+				if len(units) != len(c.want) {
+					t.Fatalf("%s.%s: %d units, oracle has %d", c.design, c.arm, len(units), len(c.want))
+				}
+				for i, u := range units {
+					w := c.want[i].unit
+					if u.Name != w.Name || !reflect.DeepEqual(u.Vars, w.Vars) || !reflect.DeepEqual(u.Outputs, w.Outputs) ||
+						u.StateBits != w.StateBits || !reflect.DeepEqual(u.Transitions, w.Transitions) {
+						t.Errorf("%s.%s: unit %s provenance differs from the oracle's", c.design, c.arm, w.Name)
+					}
+					got, err := gates.EncodeJSON(u.Netlist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := gates.EncodeJSON(w.Netlist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s.%s: unit %s netlist differs from direct synthesis", c.design, c.arm, w.Name)
+					}
+				}
+				res, err := r.hazverGate(c.design, c.arm, c.n, mapped, c.mode)
+				if err != nil {
+					t.Fatalf("%s.%s: %v", c.design, c.arm, err)
+				}
+				if !reflect.DeepEqual(res, c.wantRes) {
+					t.Errorf("%s.%s: gate result differs from the oracle's:\n%s\nwant:\n%s", c.design, c.arm,
+						hazver.Format(res.Diags, res.Name), hazver.Format(c.wantRes.Diags, c.wantRes.Name))
+				}
+			}
+			if got := met.CacheHits.Load() + met.CacheMisses.Load(); got != int64(canonComps) {
+				t.Errorf("synthesis cache saw %d lookups, want %d (one per canonical component)", got, canonComps)
+			}
+			// Each arm is gated twice above (units, then the full gate).
+			if got := r.hazverMemo.Hits() + r.hazverMemo.Misses(); got != int64(2*hclibUnits) {
+				t.Errorf("hazver memo saw %d lookups, want %d", got, 2*hclibUnits)
+			}
+			if r.hazverMemo.Len() != len(hclibShapes) {
+				t.Errorf("hazver memo synthesized %d shapes, want %d", r.hazverMemo.Len(), len(hclibShapes))
+			}
+			if cfg.name == "warm-cache" {
+				if met.ControllersResynthesized.Load() != 0 || met.ControllersReused.Load() == 0 {
+					t.Errorf("warm run: %d reused, %d resynthesized; want every controller spliced",
+						met.ControllersReused.Load(), met.ControllersResynthesized.Load())
+				}
+			}
+		})
 	}
 }
 

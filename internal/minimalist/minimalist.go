@@ -27,8 +27,10 @@ import (
 	"balsabm/internal/parallel"
 )
 
-// Controller is a synthesized Burst-Mode controller: two-level
-// hazard-free covers for every output and state variable.
+// Encoding is the part of synthesis that precedes minimization: a
+// critical-race-free state assignment of a Burst-Mode specification
+// and, under it, the specified transitions of every output and
+// next-state function.
 //
 // Like Minimalist, the synthesizer feeds outputs back as state
 // variables: the machine state is encoded by the output values at
@@ -37,21 +39,36 @@ import (
 // critical-race constraints. Small library components (sequencers,
 // calls, passivators) typically need zero or one extra bit, which is
 // what keeps the unoptimized baseline close to hand-cell size.
-type Controller struct {
+type Encoding struct {
 	Spec      *bm.Spec
 	Inputs    []string // input variable order (spec inputs)
 	StateBits int      // number of EXTRA state bits beyond fed-back outputs
 	// Vars is the full variable order: inputs, then outputs (fed
 	// back), then extra state bits y0..y{k-1}.
-	Vars    []string
-	Codes   [][]bool               // state -> full code: output values ++ extra bits
+	Vars  []string
+	Codes [][]bool // state -> full code: output values ++ extra bits
+	// Transitions records the specified input transitions per function,
+	// for downstream hazard auditing of mapped logic.
+	Transitions map[string][]hfmin.Transition
+}
+
+// fnName maps a code position to its function name: fed-back outputs
+// are their own excitation, then the extra state bits y0.. follow.
+func (e *Encoding) fnName(pos int) string {
+	if nOut := len(e.Spec.Outputs); pos >= nOut {
+		return fmt.Sprintf("y%d", pos-nOut)
+	}
+	return e.Spec.Outputs[pos]
+}
+
+// Controller is a synthesized Burst-Mode controller: its encoding plus
+// two-level hazard-free covers for every output and state variable.
+type Controller struct {
+	Encoding
 	Outputs map[string]logic.Cover // output signal -> cover
 	// NextState holds the covers of the extra state bits only; fed-back
 	// outputs are their own excitation.
 	NextState []logic.Cover
-	// Transitions records the specified input transitions per function,
-	// for downstream hazard auditing of mapped logic.
-	Transitions map[string][]hfmin.Transition
 	// Stats aggregates the minimizer's work counters over every
 	// function of the final (conflict-free) encoding.
 	Stats Stats
@@ -141,8 +158,24 @@ func Synthesize(sp *bm.Spec) (*Controller, error) {
 	return SynthesizeOpt(sp, Options{})
 }
 
-// SynthesizeOpt runs the full flow on a checked specification.
+// SynthesizeOpt runs the full flow on a checked specification: Encode,
+// then a hazard-free minimization of every function of the encoding.
 func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
+	enc, err := Encode(sp)
+	if err != nil {
+		return nil, err
+	}
+	return minimize(enc, opt)
+}
+
+// Encode runs synthesis up to, but not including, minimization: it
+// finds a critical-race-free state assignment (refining it until no
+// function's transition table holds a value conflict) and derives every
+// function's specified transitions under it. Its Vars, StateBits,
+// Codes and Transitions are exactly those of SynthesizeOpt's
+// controller, which is Encode followed by minimization — at a fraction
+// of the cost, since no function is minimized.
+func Encode(sp *bm.Spec) (*Encoding, error) {
 	if err := sp.Check(); err != nil {
 		return nil, err
 	}
@@ -249,12 +282,9 @@ func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
 			code := make([]bool, 0, len(outVec[s])+len(extra[s]))
 			codes[s] = append(append(code, outVec[s]...), extra[s]...)
 		}
-		ctrl, conflict, err := buildAndMinimize(sp, inputs, arcs, values, codes, len(extra[0]), opt)
-		if err != nil {
-			return nil, err
-		}
+		enc, conflict := buildTables(sp, inputs, arcs, codes, len(extra[0]))
 		if conflict == nil {
-			return ctrl, nil
+			return enc, nil
 		}
 		before := len(dset)
 		add(*conflict)
@@ -412,31 +442,30 @@ type fnSpec struct {
 	arcA int // index of the originating arc
 }
 
-// buildAndMinimize derives per-function transition tables under the
-// given full-state encoding (fed-back outputs ++ nExtra extra bits) and
-// minimizes each; on a value conflict it returns the dichotomy that
-// would separate the clashing arcs.
-func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map[string]bool, codes [][]bool, nExtra int, opt Options) (*Controller, *dichotomy, error) {
-	nOut := len(sp.Outputs)
-	vars := make([]string, 0, len(inputs)+nOut+nExtra)
+// buildTables derives per-function transition tables under the given
+// full-state encoding (fed-back outputs ++ nExtra extra bits); on a
+// value conflict it returns the dichotomy that would separate the
+// clashing arcs instead.
+func buildTables(sp *bm.Spec, inputs []string, arcs []arcInfo, codes [][]bool, nExtra int) (*Encoding, *dichotomy) {
+	vars := make([]string, 0, len(inputs)+len(sp.Outputs)+nExtra)
 	vars = append(vars, inputs...)
 	vars = append(vars, sp.Outputs...)
 	for i := 0; i < nExtra; i++ {
 		vars = append(vars, fmt.Sprintf("y%d", i))
+	}
+	enc := &Encoding{
+		Spec:        sp,
+		Inputs:      inputs,
+		StateBits:   nExtra,
+		Vars:        vars,
+		Codes:       codes,
+		Transitions: map[string][]hfmin.Transition{},
 	}
 	point := func(x []bool, code []bool) []bool {
 		out := make([]bool, 0, len(x)+len(code))
 		out = append(out, x...)
 		out = append(out, code...)
 		return out
-	}
-	// fnName maps a code position to its function name: fed-back
-	// outputs are their own excitation.
-	fnName := func(pos int) string {
-		if pos < nOut {
-			return sp.Outputs[pos]
-		}
-		return fmt.Sprintf("y%d", pos-nOut)
 	}
 
 	fns := map[string][]fnSpec{}
@@ -455,7 +484,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		A1 := point(ai.xStart, codes[from])
 		B1 := point(ai.xEnd, codes[from])
 		for pos := 0; pos < len(codes[from]); pos++ {
-			addTr(fnName(pos), i, A1, B1, codes[from][pos], codes[to][pos])
+			addTr(enc.fnName(pos), i, A1, B1, codes[from][pos], codes[to][pos])
 		}
 		// Vertical transition T2: the code burst (outputs firing plus
 		// extra-bit changes) at the new input point; every function
@@ -464,7 +493,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 			A2 := point(ai.xEnd, codes[from])
 			B2 := point(ai.xEnd, codes[to])
 			for pos := 0; pos < len(codes[from]); pos++ {
-				addTr(fnName(pos), i, A2, B2, codes[to][pos], codes[to][pos])
+				addTr(enc.fnName(pos), i, A2, B2, codes[to][pos], codes[to][pos])
 			}
 		}
 	}
@@ -473,75 +502,73 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 	// function order so refinement (and thus the final encoding) is
 	// reproducible run to run.
 	for pos := 0; pos < len(codes[0]); pos++ {
-		if d := findConflict(fns[fnName(pos)], arcs); d != nil {
-			return nil, d, nil
+		if d := findConflict(fns[enc.fnName(pos)], arcs); d != nil {
+			return nil, d
 		}
 	}
-
-	ctrl := &Controller{
-		Spec:        sp,
-		Inputs:      inputs,
-		StateBits:   nExtra,
-		Vars:        vars,
-		Codes:       codes,
-		Outputs:     map[string]logic.Cover{},
-		NextState:   make([]logic.Cover, nExtra),
-		Transitions: map[string][]hfmin.Transition{},
-	}
-	// Minimize every function: independently specified single-output
-	// problems, so they can run concurrently. Fan-out preserves
-	// function order and each minimization is deterministic, making
-	// the aggregate byte-identical to the sequential loop.
-	type fnOut struct {
-		trs []hfmin.Transition
-		res *hfmin.Result
-	}
-	minimizeOne := func(pos int) (fnOut, error) {
-		name := fnName(pos)
+	for pos := 0; pos < len(codes[0]); pos++ {
+		name := enc.fnName(pos)
 		specs := fns[name]
 		trs := make([]hfmin.Transition, len(specs))
 		for i, s := range specs {
 			trs[i] = s.tr
 		}
-		prob := &hfmin.Problem{Vars: len(vars), Names: vars, Transitions: trs}
+		enc.Transitions[name] = trs
+	}
+	return enc, nil
+}
+
+// minimize solves every function of a conflict-free encoding with the
+// hazard-free minimizer. The functions are independently specified
+// single-output problems, so they can run concurrently; fan-out
+// preserves function order and each minimization is deterministic,
+// making the aggregate byte-identical to the sequential loop.
+func minimize(enc *Encoding, opt Options) (*Controller, error) {
+	nOut := len(enc.Spec.Outputs)
+	ctrl := &Controller{
+		Encoding:  *enc,
+		Outputs:   map[string]logic.Cover{},
+		NextState: make([]logic.Cover, enc.StateBits),
+	}
+	minimizeOne := func(pos int) (*hfmin.Result, error) {
+		name := enc.fnName(pos)
+		prob := &hfmin.Problem{Vars: len(enc.Vars), Names: enc.Vars, Transitions: enc.Transitions[name]}
 		res, err := prob.Minimize()
 		if err != nil {
-			return fnOut{}, fmt.Errorf("minimalist: %s/%s: %w", sp.Name, name, err)
+			return nil, fmt.Errorf("minimalist: %s/%s: %w", enc.Spec.Name, name, err)
 		}
-		return fnOut{trs: trs, res: res}, nil
+		return res, nil
 	}
-	var outs []fnOut
+	var outs []*hfmin.Result
 	if opt.Pool != nil {
 		ctx := opt.Ctx
 		if ctx == nil {
 			ctx = context.Background()
 		}
 		var err error
-		outs, err = parallel.MapCtx(ctx, opt.Pool, nOut+nExtra, minimizeOne)
+		outs, err = parallel.MapCtx(ctx, opt.Pool, nOut+enc.StateBits, minimizeOne)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else {
-		outs = make([]fnOut, nOut+nExtra)
+		outs = make([]*hfmin.Result, nOut+enc.StateBits)
 		for pos := range outs {
-			o, err := minimizeOne(pos)
+			res, err := minimizeOne(pos)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			outs[pos] = o
+			outs[pos] = res
 		}
 	}
-	for pos, o := range outs {
-		name := fnName(pos)
-		ctrl.Transitions[name] = o.trs
-		ctrl.Stats.observe(o.res)
+	for pos, res := range outs {
+		ctrl.Stats.observe(res)
 		if pos < nOut {
-			ctrl.Outputs[name] = o.res.Cover
+			ctrl.Outputs[enc.fnName(pos)] = res.Cover
 		} else {
-			ctrl.NextState[pos-nOut] = o.res.Cover
+			ctrl.NextState[pos-nOut] = res.Cover
 		}
 	}
-	return ctrl, nil, nil
+	return ctrl, nil
 }
 
 // findConflict looks for a pair of derived transitions that force

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"balsabm/internal/api"
+	"balsabm/internal/flow"
 )
 
 // TestHazverEndpoint: POST /api/v1/hazver synthesizes the design and
@@ -146,5 +147,72 @@ func TestHazverMetricsCounters(t *testing.T) {
 	}
 	if !strings.Contains(string(text), `balsabmd_hazver_diags_total{code="HZ200"}`) {
 		t.Errorf("/metrics lacks the hazver counter:\n%s", text)
+	}
+}
+
+// incrRenamed is incrBase with every component and wire renamed but
+// the relative wire order kept, so its controllers share incrBase's
+// canonical digests: an incremental submission splices all of them
+// from the controller cache, renamed onto the new wires.
+const incrRenamed = `
+(program pA (rep (enc-early (p-to-p passive zroot)
+    (seq (p-to-p active zl1) (p-to-p active zl2)))))
+(program pB (rep (enc-late (p-to-p passive zgo)
+    (seq-ov (p-to-p active zx1) (p-to-p active zx2)))))
+`
+
+// TestSynthHazverWarmMatchesCold: the synth executor's hazver gate
+// verifies the netlists the job ships, so a warm incremental job whose
+// every controller was spliced from the controller cache must report
+// the byte-identical hazver result of a cold, uncached RunSynth — in
+// the baseline arm (where the gate synthesizes the hand-library
+// sequencer for verification) and the optimized one.
+func TestSynthHazverWarmMatchesCold(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	for _, mode := range []string{api.ModeUnopt, api.ModeOpt} {
+		base, err := c.Submit(ctx, api.JobRequest{Kind: api.KindSynth, Source: incrBase, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := c.Wait(ctx, base.ID); err != nil || st.State != api.StateDone {
+			t.Fatalf("%s base job: %v %+v", mode, err, st)
+		}
+		warm, err := c.Submit(ctx, api.JobRequest{Kind: api.KindSynth, Source: incrRenamed,
+			Mode: mode, BaseJobID: base.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Wait(ctx, warm.ID)
+		if err != nil || st.State != api.StateDone {
+			t.Fatalf("%s warm job: %v %+v", mode, err, st)
+		}
+		if st.ControllersResynthesized != 0 || st.ControllersReused != 2 {
+			t.Fatalf("%s warm job reused=%d resynthesized=%d, want 2/0",
+				mode, st.ControllersReused, st.ControllersResynthesized)
+		}
+		res, err := c.Result(ctx, warm.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Synth.Hazver == nil || res.Synth.Hazver.Stats.Bursts == 0 {
+			t.Fatalf("%s warm job: empty hazver report %+v", mode, res.Synth.Hazver)
+		}
+		got, err := api.Encode(res.Synth.Hazver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := RunSynth(ctx, api.JobRequest{Kind: api.KindSynth, Source: incrRenamed, Mode: mode},
+			&flow.Metrics{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := api.Encode(cold.Synth.Hazver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: warm hazver report differs from cold:\n--- warm ---\n%s\n--- cold ---\n%s", mode, got, want)
+		}
 	}
 }

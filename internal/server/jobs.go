@@ -846,7 +846,7 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 	// statically detectable hazard on a specified burst fails the job;
 	// warnings stream to subscribers and count toward the daemon's
 	// per-code totals; the verification report rides on the result.
-	hzres, err := flow.HazverGate(ctx, "synth", mode, n, tmMode, opts)
+	hzres, err := flow.HazverGate(ctx, "synth", mode, n, mapped, tmMode, opts)
 	if err != nil {
 		return nil, err
 	}
