@@ -13,39 +13,40 @@
 //	balsabm verify            Section 4.3 conformance experiment
 //	balsabm flow <design>     detailed per-controller flow report
 //	balsabm lint [file...]    run the chlint analyzer on CH source files
-//	                          (no files: lint every built-in design);
-//	                          -lint is an equivalent flag spelling.
-//	                          Exit status 1 when errors are reported.
+//	                          (no files: lint every built-in design).
 //	balsabm bmlint [file...]  compile CH control netlists to Burst-Mode
 //	                          specifications and run the bmlint analyzer
 //	                          on each (files ending in .bms are linted
-//	                          directly as specs); no files: audit every
-//	                          built-in design, both arms. Exit status 1
-//	                          on BM-errors.
-//	balsabm netlint [file...] synthesize CH control netlists (optimized
-//	                          arm, no simulation) and run the netlint
-//	                          structural audit on every mapped controller
-//	                          plus the merged circuit; no files: audit
-//	                          every built-in design, both arms. -netlint
-//	                          is an equivalent flag spelling. Exit
-//	                          status 1 on NL-errors.
+//	                          directly as specs; files are checked as
+//	                          written unless -mode names an arm); no
+//	                          files: audit every built-in design, both
+//	                          arms.
+//	balsabm netlint [file...] synthesize CH control netlists (no
+//	                          simulation) and run the netlint structural
+//	                          audit on every mapped controller plus the
+//	                          merged circuit; no files: audit every
+//	                          built-in design, both arms.
 //	balsabm hazver [file...]  synthesize CH control netlists and run the
 //	                          hazver static hazard verification: every
 //	                          specified input burst of every mapped
 //	                          controller is checked for clean monotonic
 //	                          transitions by ternary (0/1/X) analysis of
-//	                          the merged circuit. Files use the arm named
-//	                          by -mode (default opt); no files: verify
-//	                          every built-in design, both arms. Exit
-//	                          status 1 on HZ-errors.
+//	                          the merged circuit; no files: verify every
+//	                          built-in design, both arms.
+//	                          The four checker subcommands share one
+//	                          path: netlint and hazver check files in the
+//	                          arm named by -mode (default opt), -json
+//	                          emits api.CheckResultJSON (byte-identical
+//	                          to POST /api/v1/check/{checker}), -server
+//	                          runs the checker on a daemon, and the exit
+//	                          status is 1 on error-severity findings.
 //	balsabm audit [design...] run the six-checker static audit stack
 //	                          (chlint, bmlint, hazard-free cover
 //	                          re-verification, mapped-logic audit,
 //	                          netlint, hazver) on built-in designs; one
 //	                          summary line per design (-json: the
 //	                          api.AuditResultJSON wire form with
-//	                          per-checker counts). -audit is an
-//	                          equivalent flag spelling. Exit status 1 on
+//	                          per-checker counts). Exit status 1 on
 //	                          failures.
 //	balsabm synth <file.ch>   synthesize a CH control netlist (no
 //	                          simulation): clustering + speed-split
@@ -84,8 +85,13 @@
 //	          flow); the encoding is byte-identical to the balsabmd
 //	          server responses (shared internal/api encoder)
 //	-server URL
-//	          thin-client mode: run table3/flow on a balsabmd daemon
-//	          at URL instead of in process
+//	          thin-client mode: run table3/flow/synth and the checker
+//	          subcommands on a balsabmd daemon at URL instead of in
+//	          process
+//	-mode opt|unopt
+//	          the arm synth and the checker subcommands work on (synth,
+//	          netlint and hazver default to opt; bmlint checks files as
+//	          written)
 //	-incremental
 //	          attach the controller-grain synthesis cache to flow runs
 //	          (synth, table3, flow, audit): controllers whose canonical
@@ -125,7 +131,6 @@ import (
 	"strings"
 	"syscall"
 
-	"balsabm/internal/analysis"
 	"balsabm/internal/api"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
@@ -142,18 +147,15 @@ import (
 var (
 	workersFlag = flag.Int("j", 0, "parallel workers (0 = all CPU cores)")
 	statsFlag   = flag.Bool("stats", false, "print cache and timing statistics after flow runs")
-	jsonFlag    = flag.Bool("json", false, "emit JSON results (table3, flow, lint)")
-	serverFlag  = flag.String("server", "", "run table3/flow/lint on a balsabmd daemon at this URL")
-	lintFlag    = flag.Bool("lint", false, "lint CH source files (same as the lint subcommand)")
-	netlintFlag = flag.Bool("netlint", false, "structurally audit synthesized netlists (same as the netlint subcommand)")
-	auditFlag   = flag.Bool("audit", false, "run the full static audit stack (same as the audit subcommand)")
+	jsonFlag    = flag.Bool("json", false, "emit JSON results (table3, flow, synth, audit, checkers)")
+	serverFlag  = flag.String("server", "", "run table3/flow/synth/checkers on a balsabmd daemon at this URL")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
 
 	incrFlag    = flag.Bool("incremental", false, "reuse cached controller syntheses with unchanged canonical subtrees")
 	baseFlag    = flag.String("base", "", "base design for incremental synth: a CH file locally, a job ID with -server")
 	dataDirFlag = flag.String("data-dir", "", "balsabmd data directory backing the incremental controller cache")
-	modeFlag    = flag.String("mode", api.ModeOpt, "synth arm: opt (clustering + speed-split) or unopt (baseline)")
+	modeFlag    = flag.String("mode", "", "arm: opt (clustering + speed-split) or unopt (baseline); default opt, bmlint checks files as written")
 )
 
 // ctlStore is the store opened for -data-dir, shared by every flow run
@@ -249,7 +251,7 @@ func printStats(met *flow.Metrics) {
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() < 1 && !*lintFlag && !*netlintFlag && !*auditFlag {
+	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
@@ -261,14 +263,6 @@ func main() {
 	defer stop()
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
-	switch {
-	case *lintFlag:
-		cmd, args = "lint", flag.Args()
-	case *netlintFlag:
-		cmd, args = "netlint", flag.Args()
-	case *auditFlag:
-		cmd, args = "audit", flag.Args()
-	}
 	var err error
 	switch cmd {
 	case "table1":
@@ -287,14 +281,6 @@ func main() {
 		err = fig5()
 	case "verify":
 		err = verify()
-	case "lint":
-		err = lintCmd(ctx, args)
-	case "bmlint":
-		err = bmlintCmd(ctx, args)
-	case "netlint":
-		err = netlintCmd(ctx, args)
-	case "hazver":
-		err = hazverCmd(ctx, args)
 	case "audit":
 		err = auditCmd(ctx, args)
 	case "flow":
@@ -310,8 +296,12 @@ func main() {
 			fmt.Println(d.Name)
 		}
 	default:
-		usage()
-		os.Exit(2)
+		c := checkerCommand(cmd)
+		if c == nil {
+			usage()
+			os.Exit(2)
+		}
+		err = checkCmd(ctx, c, args)
 	}
 	if err == errLintFindings {
 		closeCtlStore()
@@ -428,6 +418,9 @@ func synthCmd(ctx context.Context, args []string) error {
 		return fmt.Errorf("usage: balsabm synth <file.ch>")
 	}
 	mode := *modeFlag
+	if mode == "" {
+		mode = api.ModeOpt
+	}
 	if mode != api.ModeOpt && mode != api.ModeUnopt {
 		return fmt.Errorf("synth: unknown mode %q (want opt or unopt)", mode)
 	}
@@ -501,320 +494,85 @@ func emitSynth(s *api.SynthResultJSON) error {
 	}
 	if s.Netlint != nil {
 		fmt.Printf("netlint %s: %d errors, %d warnings, %d infos\n",
-			s.Netlint.Circuit, s.Netlint.Errors, s.Netlint.Warnings, s.Netlint.Infos)
+			s.Netlint.Unit, s.Netlint.Errors, s.Netlint.Warnings, s.Netlint.Infos)
 	}
 	return nil
 }
 
-// errLintFindings reports that lint printed error diagnostics; main
-// exits 1 without the generic error banner.
+// errLintFindings reports that a checker printed error diagnostics;
+// main exits 1 without the generic error banner.
 var errLintFindings = errors.New("lint found errors")
 
-// lintCmd runs the chlint analyzer. With file arguments it lints each
-// CH source file; with none it lints the control netlists of every
-// built-in design. -json emits the api wire form (one object for a
-// single file — byte-identical to POST /api/v1/lint — or a list);
-// -server delegates the analysis to a balsabmd daemon. Exit status is
-// 1 when any error-severity diagnostic is reported.
-func lintCmd(ctx context.Context, args []string) error {
-	var results []*api.LintResultJSON
-	if len(args) == 0 {
-		for _, d := range designs.All() {
-			results = append(results, api.LintResult(d.Name, analysis.Analyze(d.Control())))
+// checkerCommand returns the registered checker whose gate the
+// subcommand names (lint, bmlint, netlint, hazver), nil for none.
+func checkerCommand(cmd string) *server.Checker {
+	for _, c := range server.Checkers() {
+		if c.Gate == cmd {
+			return c
 		}
-	}
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		var res *api.LintResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Lint(ctx, api.LintRequest{Source: string(data), File: file})
-			if err != nil {
-				return err
-			}
-		} else {
-			res = api.LintResult(file, analysis.LintSource(string(data)))
-		}
-		results = append(results, res)
-	}
-	failed := false
-	for _, res := range results {
-		if res.Errors > 0 {
-			failed = true
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, d := range res.Diags {
-				fmt.Println(renderDiagJSON(res.File, d))
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
 	}
 	return nil
 }
 
-// renderDiagJSON renders a wire-form diagnostic in the analyzer's
-// vet-style text form (remote results arrive as JSON, so the text
-// renderer on analysis.Diag is out of reach).
-func renderDiagJSON(file string, d api.DiagJSON) string {
-	var sb strings.Builder
-	if file != "" {
-		sb.WriteString(file)
-		sb.WriteString(":")
-	}
-	if d.Line > 0 {
-		fmt.Fprintf(&sb, "%d:%d:", d.Line, d.Col)
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
-}
-
-// bmlintCmd compiles CH control netlists to Burst-Mode specifications
-// and runs the bmlint analyzer on each component spec; files ending in
-// .bms are linted directly as specs. Local runs call the same
-// server.RunBmlint the daemon's POST /api/v1/bmlint handler uses, and
-// -server delegates to a daemon, so -json output is byte-identical
-// either way. With no arguments it audits every built-in design, both
-// arms. Exit status is 1 when any error-severity BMxxx finding is
-// reported.
-func bmlintCmd(ctx context.Context, args []string) error {
-	if len(args) == 0 {
-		return bmlintDesigns(ctx)
-	}
-	var results []*api.BmlintResultJSON
+// checkCmd runs one registered checker. With file arguments each file
+// is checked — CH source, or for a .bms file one Burst-Mode spec — in
+// the arm named by -mode; with none, every built-in design is checked,
+// in each arm the checker checks. Local runs call the same
+// server.RunCheck the daemon's POST /api/v1/check/{checker} handler
+// calls, and -server delegates to a daemon, so -json output is
+// byte-identical either way. Text output is the vet-style diagnostics
+// of every report; the exit status is 1 when any error-severity
+// finding is reported.
+func checkCmd(ctx context.Context, c *server.Checker, args []string) error {
+	cfg := api.FlowConfig{Workers: *workersFlag}
+	var reqs []api.CheckRequest
 	for _, file := range args {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			return err
 		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.BmlintRequest{Source: string(data), Name: name}
+		req := api.CheckRequest{
+			Source: string(data), File: file, Mode: *modeFlag, Config: cfg,
+			Name: strings.TrimSuffix(filepath.Base(file), filepath.Ext(file)),
+		}
 		if filepath.Ext(file) == ".bms" {
 			req.Format = api.FormatBMS
 		}
-		var res *api.BmlintResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Bmlint(ctx, req)
-		} else {
-			res, err = server.RunBmlint(ctx, req)
-		}
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
+		reqs = append(reqs, req)
 	}
-	return emitBmlint(results)
-}
-
-// bmlintDesigns audits the built-in designs, both arms, locally.
-func bmlintDesigns(ctx context.Context) error {
-	var results []*api.BmlintResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
-				if err != nil {
-					return err
-				}
-			}
-			specs, err := flow.BmlintNetlist(n)
-			if err != nil {
-				return err
-			}
-			res := api.BmlintResult(specs)
-			res.Design, res.Mode = d.Name, arm
-			results = append(results, res)
-		}
-	}
-	return emitBmlint(results)
-}
-
-// emitBmlint prints bmlint results (-json: the wire form; otherwise
-// vet-style diagnostics) and returns errLintFindings on BM-errors.
-func emitBmlint(results []*api.BmlintResultJSON) error {
-	failed := false
-	for _, res := range results {
-		for _, rep := range res.Specs {
-			if rep.Errors > 0 {
-				failed = true
-			}
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, rep := range res.Specs {
-				unit := rep.Spec
-				if res.Design != "" {
-					unit = res.Design + "." + res.Mode + "." + rep.Spec
-				}
-				for _, d := range rep.Diags {
-					fmt.Println(renderBmlintDiagJSON(unit, d))
-				}
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
-}
-
-// renderBmlintDiagJSON renders a wire-form spec diagnostic in bmlint's
-// vet-style text form (remote results arrive as JSON, so the text
-// renderer on bmlint.Diag is out of reach).
-func renderBmlintDiagJSON(spec string, d api.BmlintDiagJSON) string {
-	var sb strings.Builder
-	if spec != "" {
-		sb.WriteString(spec)
-		sb.WriteString(":")
-	}
-	var loc []string
-	if d.Arc >= 0 {
-		loc = append(loc, fmt.Sprintf("arc %d (%s)", d.Arc, d.ArcText))
-	} else if d.State >= 0 {
-		loc = append(loc, fmt.Sprintf("state %d", d.State))
-	}
-	if d.Sig != "" {
-		loc = append(loc, fmt.Sprintf("signal %q", d.Sig))
-	}
-	if len(loc) > 0 {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		sb.WriteString(strings.Join(loc, " "))
-		sb.WriteString(":")
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
-}
-
-// netlintCmd synthesizes designs (no simulation) and runs the netlint
-// structural audit. With file arguments each file is a CH control
-// netlist, synthesized through the optimized arm (clustering +
-// speed-split mapping, matching the POST /api/v1/netlint default) —
-// locally via the same server.RunNetlint the daemon uses, or remotely
-// with -server, so -json output is byte-identical either way. With no
-// arguments it audits every built-in design, both arms. Exit status is
-// 1 when any error-severity NLxxx finding is reported.
-func netlintCmd(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		return netlintDesigns(ctx)
+		for _, d := range designs.All() {
+			for _, arm := range c.Arms {
+				reqs = append(reqs, api.CheckRequest{Design: d.Name, Mode: arm, Config: cfg})
+			}
+		}
 	}
-	var results []*api.NetlintResultJSON
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.NetlintRequest{
-			Source: string(data), Name: name,
-			Config: api.FlowConfig{Workers: *workersFlag},
-		}
-		var res *api.NetlintResultJSON
+	met := &flow.Metrics{}
+	defer printStats(met)
+	results := make([]*api.CheckResultJSON, 0, len(reqs))
+	failed := false
+	for _, req := range reqs {
+		var res *api.CheckResultJSON
+		var err error
 		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Netlint(ctx, req)
+			res, err = server.NewClient(*serverFlag).Check(ctx, c.Name, req)
 		} else {
-			res, err = server.RunNetlint(ctx, req)
+			res, err = server.RunCheck(ctx, c.Name, req, met)
 		}
 		if err != nil {
 			return err
 		}
+		failed = failed || res.Errors() > 0
 		results = append(results, res)
 	}
-	return emitNetlint(results)
-}
-
-// netlintDesigns audits the built-in designs, both arms, locally.
-func netlintDesigns(ctx context.Context) error {
-	opt, met := flowOptions()
-	defer printStats(met)
-	var results []*api.NetlintResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			mode := techmap.AreaShared
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
-				if err != nil {
-					return err
-				}
-				mode = techmap.SpeedSplit
-			}
-			ctrls, merged, err := flow.NetlintNetlist(ctx, d.Name, arm, n, mode, opt)
-			if err != nil {
-				return err
-			}
-			results = append(results, api.NetlintResult(arm, ctrls, merged))
-		}
-	}
-	return emitNetlint(results)
-}
-
-// emitNetlint prints netlint results (-json: the wire form; otherwise
-// vet-style diagnostics) and returns errLintFindings on NL-errors.
-func emitNetlint(results []*api.NetlintResultJSON) error {
-	failed := false
-	for _, res := range results {
-		reports := append(append([]api.NetlintReportJSON{}, res.Controllers...), res.Merged)
-		for _, rep := range reports {
-			if rep.Errors > 0 {
-				failed = true
-			}
-		}
-	}
 	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
+		if err := emitJSONList(results); err != nil {
 			return err
 		}
 	} else {
 		for _, res := range results {
-			for _, rep := range append(append([]api.NetlintReportJSON{}, res.Controllers...), res.Merged) {
-				for _, d := range rep.Diags {
-					fmt.Println(renderNetlintDiagJSON(rep.Circuit, d))
-				}
+			for _, rep := range res.Reports {
+				fmt.Print(rep.Format())
 			}
 		}
 	}
@@ -822,170 +580,6 @@ func emitNetlint(results []*api.NetlintResultJSON) error {
 		return errLintFindings
 	}
 	return nil
-}
-
-// renderNetlintDiagJSON renders a wire-form netlist diagnostic in
-// netlint's vet-style text form (remote results arrive as JSON, so the
-// text renderer on netlint.Diag is out of reach).
-func renderNetlintDiagJSON(circuit string, d api.NetlintDiagJSON) string {
-	var sb strings.Builder
-	if circuit != "" {
-		sb.WriteString(circuit)
-		sb.WriteString(":")
-	}
-	var loc []string
-	if d.Inst >= 0 {
-		loc = append(loc, fmt.Sprintf("g%d(%s)", d.Inst, d.Cell))
-	}
-	if d.Net >= 0 {
-		loc = append(loc, fmt.Sprintf("net %q", d.Name))
-	}
-	if len(loc) > 0 {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		sb.WriteString(strings.Join(loc, " "))
-		sb.WriteString(":")
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
-}
-
-// hazverCmd synthesizes designs (no simulation) and runs the hazver
-// static hazard verification on the merged mapped circuits. With file
-// arguments each file is a CH control netlist, verified through the
-// arm named by -mode (default opt: clustering + speed-split mapping,
-// matching the POST /api/v1/hazver default) — locally via the same
-// server.RunHazver the daemon uses, or remotely with -server, so
-// -json output is byte-identical either way. With no arguments it
-// verifies every built-in design, both arms. Exit status is 1 when
-// any error-severity HZxxx finding is reported.
-func hazverCmd(ctx context.Context, args []string) error {
-	if len(args) == 0 {
-		return hazverDesigns(ctx)
-	}
-	mode := *modeFlag
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return fmt.Errorf("hazver: unknown mode %q (want opt or unopt)", mode)
-	}
-	var results []*api.HazverResultJSON
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.HazverRequest{
-			Source: string(data), Name: name, Mode: mode,
-			Config: api.FlowConfig{Workers: *workersFlag},
-		}
-		var res *api.HazverResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Hazver(ctx, req)
-		} else {
-			res, err = server.RunHazver(ctx, req)
-		}
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
-	return emitHazver(results)
-}
-
-// hazverDesigns verifies the built-in designs, both arms, locally.
-func hazverDesigns(ctx context.Context) error {
-	opt, met := flowOptions()
-	defer printStats(met)
-	var results []*api.HazverResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			mode := techmap.AreaShared
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
-				if err != nil {
-					return err
-				}
-				mode = techmap.SpeedSplit
-			}
-			res, err := flow.HazverNetlist(ctx, d.Name, arm, n, mode, opt)
-			if err != nil {
-				return err
-			}
-			results = append(results, api.HazverResult(arm, res))
-		}
-	}
-	return emitHazver(results)
-}
-
-// emitHazver prints hazver results (-json: the wire form; otherwise
-// vet-style diagnostics plus one stats line per circuit) and returns
-// errLintFindings on HZ-errors.
-func emitHazver(results []*api.HazverResultJSON) error {
-	failed := false
-	for _, res := range results {
-		if res.Report.Errors > 0 {
-			failed = true
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, d := range res.Report.Diags {
-				fmt.Println(renderHazverDiagJSON(res.Report.Circuit, d))
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
-}
-
-// renderHazverDiagJSON renders a wire-form hazard diagnostic in
-// hazver's vet-style text form (remote results arrive as JSON, so the
-// text renderer on hazver.Diag is out of reach).
-func renderHazverDiagJSON(circuit string, d api.HazverDiagJSON) string {
-	var sb strings.Builder
-	if circuit != "" {
-		sb.WriteString(circuit)
-		sb.WriteString(":")
-	}
-	if d.Fn != "" {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		if d.Tr < 0 {
-			fmt.Fprintf(&sb, "fn %q:", d.Fn)
-		} else {
-			fmt.Fprintf(&sb, "fn %q burst %d (%s):", d.Fn, d.Tr, d.Burst)
-		}
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
 }
 
 // auditCmd runs the unified static audit stack on built-in designs
@@ -1030,11 +624,7 @@ func auditCmd(ctx context.Context, args []string) error {
 		}
 	}
 	if *jsonFlag {
-		if len(audits) == 1 {
-			if err := emitJSON(audits[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(audits); err != nil {
+		if err := emitJSONList(audits); err != nil {
 			return err
 		}
 	}
@@ -1096,6 +686,14 @@ func emitJSON(v any) error {
 	}
 	_, err = os.Stdout.Write(b)
 	return err
+}
+
+// emitJSONList prints one wire value as an object, several as a list.
+func emitJSONList[T any](vs []T) error {
+	if len(vs) == 1 {
+		return emitJSON(vs[0])
+	}
+	return emitJSON(vs)
 }
 
 // remoteRows runs table3 work on the daemon named by -server.

@@ -13,11 +13,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"balsabm/internal/analysis"
-	"balsabm/internal/bmlint"
 	"balsabm/internal/core"
+	"balsabm/internal/diag"
 	"balsabm/internal/flow"
-	"balsabm/internal/hazver"
 	"balsabm/internal/netlint"
 	"balsabm/internal/store"
 )
@@ -82,8 +80,8 @@ const (
 )
 
 // FormatBMS is a Burst-Mode specification in .bms text form; accepted
-// only by POST /api/v1/bmlint, which lints the spec directly instead
-// of compiling a design.
+// only by the bmlint checker, which lints the spec directly instead of
+// compiling a design.
 const FormatBMS = "bms"
 
 // Synthesis modes for KindSynth.
@@ -171,18 +169,6 @@ type ControllerJSON struct {
 	Exact bool `json:"exact"`
 }
 
-// StaticJSON mirrors netlint.Stats: the static report for a merged
-// gate-level circuit.
-type StaticJSON struct {
-	Cells       int     `json:"cells"`
-	Nets        int     `json:"nets"`
-	Literals    int     `json:"literals"`
-	Transistors int     `json:"transistors"`
-	Area        float64 `json:"area"`
-	Depth       int     `json:"depth"`
-	Critical    float64 `json:"critical"`
-}
-
 // ArmJSON mirrors flow.ArmResult.
 type ArmJSON struct {
 	Controllers  []ControllerJSON `json:"controllers"`
@@ -193,7 +179,7 @@ type ArmJSON struct {
 	TotalArea    float64          `json:"totalArea"`
 	// Static is the netlint static report for the arm's merged control
 	// circuit.
-	Static StaticJSON `json:"static"`
+	Static netlint.Stats `json:"static"`
 }
 
 // MergeJSON mirrors core.Merge.
@@ -239,10 +225,10 @@ type SynthResultJSON struct {
 	Report      *ReportJSON           `json:"report,omitempty"`
 	// Netlint is the structural audit of the merged circuit of all
 	// synthesized controllers (gates.Merge wiring).
-	Netlint *NetlintReportJSON `json:"netlint,omitempty"`
+	Netlint *CheckReportJSON `json:"netlint,omitempty"`
 	// Hazver is the static hazard verification of the synthesized
 	// controller shapes on their specified bursts.
-	Hazver *HazverReportJSON `json:"hazver,omitempty"`
+	Hazver *CheckReportJSON `json:"hazver,omitempty"`
 }
 
 // JobResult is the body of GET /api/v1/jobs/{id}/result; exactly one
@@ -278,22 +264,10 @@ type Event struct {
 	ControllersReused        int64  `json:"controllersReused,omitempty"`
 	ControllersResynthesized int64  `json:"controllersResynthesized,omitempty"`
 	Error                    string `json:"error,omitempty"`
-	// Lint carries one analyzer finding for "lint" events: the
-	// non-error diagnostics the pre-synthesis gate surfaced.
-	Lint *DiagJSON `json:"lint,omitempty"`
-	// Netlint carries one netlist finding for "lint" events: the
-	// non-error diagnostics the post-merge netlint gate surfaced. Its
-	// Circuit field names the audited circuit (e.g. "stack.opt").
-	Netlint *NetlintDiagJSON `json:"netlint,omitempty"`
-	// Bmlint carries one Burst-Mode spec finding for "lint" events: the
-	// non-error diagnostics the post-compile bmlint gate surfaced. Its
-	// Spec field names the audited spec (e.g. "stack.opt.push_seq1").
-	Bmlint *BmlintDiagJSON `json:"bmlint,omitempty"`
-	// Hazver carries one static hazard-verification finding for "lint"
-	// events: the non-error diagnostics the post-mapping hazver gate
-	// surfaced. Its Circuit field names the verified circuit (e.g.
-	// "stack.opt").
-	Hazver *HazverDiagJSON `json:"hazver,omitempty"`
+	// Diag carries one gate finding for "lint" events: a non-error
+	// diagnostic one of the flow's gates surfaced, tagged with its
+	// checker and the unit it was found in (e.g. "stack.opt").
+	Diag *DiagJSON `json:"diag,omitempty"`
 }
 
 // StageJSON is one pipeline stage's cumulative counters.
@@ -344,18 +318,11 @@ type MetricsJSON struct {
 	// Store summarizes the artifact cache on disk; present only when the
 	// daemon runs with a data directory.
 	Store *StoreStatsJSON `json:"store,omitempty"`
-	// NetlintDiags counts netlist diagnostics by NLxxx code across
-	// every flow the daemon ran (also exported as
-	// balsabmd_netlint_diags_total{code=...}).
-	NetlintDiags map[string]int64 `json:"netlintDiags,omitempty"`
-	// BmlintDiags counts Burst-Mode spec diagnostics by BMxxx code
-	// across every flow the daemon ran (also exported as
-	// balsabmd_bmlint_diags_total{code=...}).
-	BmlintDiags map[string]int64 `json:"bmlintDiags,omitempty"`
-	// HazverDiags counts static hazard-verification diagnostics by
-	// HZxxx code across every flow the daemon ran (also exported as
-	// balsabmd_hazver_diags_total{code=...}).
-	HazverDiags map[string]int64 `json:"hazverDiags,omitempty"`
+	// Diags counts gate diagnostics by checker, then code, across every
+	// flow the daemon ran: the non-error findings its gates recorded
+	// plus the error findings of a gate that failed a job (also
+	// exported as balsabmd_diags_total{checker=...,code=...}).
+	Diags map[string]map[string]int64 `json:"diags,omitempty"`
 }
 
 // StoreStatsJSON summarizes the daemon's on-disk artifact store
@@ -406,7 +373,7 @@ func FromArmResult(a flow.ArmResult) ArmJSON {
 		BenchTime:    a.BenchTime,
 		Events:       a.Events,
 		TotalArea:    a.TotalArea(),
-		Static:       FromStats(a.Static),
+		Static:       a.Static,
 		Controllers:  make([]ControllerJSON, 0, len(a.Controllers)),
 	}
 	for _, c := range a.Controllers {
@@ -467,7 +434,7 @@ func (d *DesignResultJSON) ToFlow() *flow.DesignResult {
 			DatapathArea: a.DatapathArea,
 			BenchTime:    a.BenchTime,
 			Events:       a.Events,
-			Static:       a.Static.ToStats(),
+			Static:       a.Static,
 			Controllers:  make([]flow.ControllerResult, 0, len(a.Controllers)),
 		}
 		for _, c := range a.Controllers {
@@ -487,42 +454,51 @@ func (d *DesignResultJSON) ToFlow() *flow.DesignResult {
 	}
 }
 
-// LintRequest is the body of POST /api/v1/lint: CH source to analyze
-// (a netlist of (program ...) forms or a single bare expression) and
-// an optional file name echoed into the result for rendering.
-type LintRequest struct {
-	Source string `json:"source"`
-	File   string `json:"file,omitempty"`
+// CheckRequest is the body of POST /api/v1/check/{checker}: the
+// netlist to check, given either as Source text in Format ("ch", the
+// default, "balsa", or "bms" — one Burst-Mode spec, bmlint only) or as
+// the name of a built-in Design. Mode selects the arm for the checkers
+// that check one ("opt" or "unopt"; see the server's checker registry
+// for each checker's default) and Config tunes the synthesis the
+// netlist-level checkers run. File names the source file, the unit
+// chlint reports under; Name is the design name the other checkers
+// prefix their units with ("design" when empty).
+type CheckRequest struct {
+	Source string     `json:"source,omitempty"`
+	Format string     `json:"format,omitempty"`
+	File   string     `json:"file,omitempty"`
+	Name   string     `json:"name,omitempty"`
+	Design string     `json:"design,omitempty"`
+	Mode   string     `json:"mode,omitempty"`
+	Config FlowConfig `json:"config"`
 }
 
-// DiagJSON mirrors analysis.Diag. Line and Col are omitted for
-// findings on programmatically built nodes, matching the text
-// renderer's position-free form.
+// DiagJSON is one diagnostic of any checker on the wire. Loc and Tight
+// are the checker's own rendering of the location (diag.Loc.Fragment)
+// and Key is its sort key (diag.Loc.Key), so a decoded diagnostic
+// renders through diag's renderer byte-identically to the typed
+// original. Checker and Unit tag findings on event streams; inside a
+// report, whose Unit names them once, both are empty.
 type DiagJSON struct {
-	Line     int      `json:"line,omitempty"`
-	Col      int      `json:"col,omitempty"`
+	Checker  string   `json:"checker,omitempty"`
+	Unit     string   `json:"unit,omitempty"`
+	Loc      string   `json:"loc,omitempty"`
+	Tight    bool     `json:"tight,omitempty"`
+	Key      [2]int   `json:"key"`
 	Severity string   `json:"severity"`
 	Code     string   `json:"code"`
 	Message  string   `json:"message"`
 	Notes    []string `json:"notes,omitempty"`
 }
 
-// LintResultJSON is the body answered by POST /api/v1/lint and emitted
-// by `balsabm lint -json` — the same struct through the same encoder,
-// so the two surfaces are byte-identical for the same input.
-type LintResultJSON struct {
-	File     string     `json:"file,omitempty"`
-	Diags    []DiagJSON `json:"diags"`
-	Errors   int        `json:"errors"`
-	Warnings int        `json:"warnings"`
-	Infos    int        `json:"infos"`
-}
-
-// FromDiag converts one analyzer finding.
-func FromDiag(d analysis.Diag) DiagJSON {
+// FromDiag converts one diagnostic of any checker.
+func FromDiag[L diag.Loc](d diag.Diag[L]) DiagJSON {
+	text, tight := d.Loc.Fragment()
+	a, b := d.Loc.Key()
 	return DiagJSON{
-		Line:     d.Loc.Line,
-		Col:      d.Loc.Col,
+		Loc:      text,
+		Tight:    tight,
+		Key:      [2]int{a, b},
 		Severity: d.Severity.String(),
 		Code:     d.Code,
 		Message:  d.Message,
@@ -530,339 +506,76 @@ func FromDiag(d analysis.Diag) DiagJSON {
 	}
 }
 
-// LintResult packages a diagnostic list for the wire. Diags is always
-// non-nil so a clean lint encodes as [] rather than null.
-func LintResult(file string, ds []analysis.Diag) *LintResultJSON {
-	out := &LintResultJSON{File: file, Diags: make([]DiagJSON, 0, len(ds))}
+// Diag rebuilds the diagnostic, its location carried as the checker
+// rendered it.
+func (d DiagJSON) Diag() diag.Diag[diag.Rendered] {
+	sev, _ := diag.ParseSeverity(d.Severity)
+	return diag.Diag[diag.Rendered]{
+		Loc:      diag.Rendered{Text: d.Loc, Tight: d.Tight, A: d.Key[0], B: d.Key[1]},
+		Severity: sev,
+		Code:     d.Code,
+		Message:  d.Message,
+		Notes:    d.Notes,
+	}
+}
+
+// CheckReportJSON is one checked unit — a CH file or design, a
+// Burst-Mode spec, a mapped controller or a merged circuit — with the
+// checker's static report (bmlint.Stats, netlint.Stats or
+// hazver.Stats; absent for chlint), its diagnostics and their severity
+// tallies. Stats stay raw JSON on the wire, so a report fetched over
+// HTTP re-encodes to the server's bytes.
+type CheckReportJSON struct {
+	Unit     string          `json:"unit"`
+	Stats    json.RawMessage `json:"stats,omitempty"`
+	Diags    []DiagJSON      `json:"diags"`
+	Errors   int             `json:"errors"`
+	Warnings int             `json:"warnings"`
+	Infos    int             `json:"infos"`
+}
+
+// CheckReport packages one unit's diagnostics and static report (nil
+// for none) for the wire. Diags is always non-nil so a clean unit
+// encodes as [] rather than null.
+func CheckReport[L diag.Loc](unit string, stats any, ds []diag.Diag[L]) CheckReportJSON {
+	out := CheckReportJSON{Unit: unit, Diags: make([]DiagJSON, 0, len(ds))}
+	if stats != nil {
+		out.Stats, _ = json.Marshal(stats) // checker stats are plain structs
+	}
 	for _, d := range ds {
 		out.Diags = append(out.Diags, FromDiag(d))
 	}
-	out.Errors, out.Warnings, out.Infos = analysis.Count(ds)
+	out.Errors, out.Warnings, out.Infos = diag.Count(ds)
 	return out
 }
 
-// NetlintRequest is the body of POST /api/v1/netlint: design source to
-// synthesize (without simulation) and structurally audit. Fields match
-// the KindSynth job request: Source in the given Format ("ch" default,
-// "balsa"), Mode selecting the arm ("opt" default, "unopt"), and the
-// flow config.
-type NetlintRequest struct {
-	Source string     `json:"source"`
-	Format string     `json:"format,omitempty"`
-	Name   string     `json:"name,omitempty"`
-	Mode   string     `json:"mode,omitempty"`
-	Config FlowConfig `json:"config"`
-}
-
-// NetlintDiagJSON mirrors netlint.Diag. Inst and Net are -1 for
-// circuit-level findings, matching netlint.NoLoc.
-type NetlintDiagJSON struct {
-	// Circuit names the audited circuit on event streams (e.g.
-	// "stack.opt"); omitted inside NetlintReportJSON, whose Circuit
-	// field carries it once.
-	Circuit  string   `json:"circuit,omitempty"`
-	Inst     int      `json:"inst"`
-	Cell     string   `json:"cell,omitempty"`
-	Net      int      `json:"net"`
-	Name     string   `json:"name,omitempty"`
-	Severity string   `json:"severity"`
-	Code     string   `json:"code"`
-	Message  string   `json:"message"`
-	Notes    []string `json:"notes,omitempty"`
-}
-
-// NetlintReportJSON is the audit of one circuit: its diagnostics and
-// static report, with severity tallies.
-type NetlintReportJSON struct {
-	Circuit  string            `json:"circuit"`
-	Static   StaticJSON        `json:"static"`
-	Diags    []NetlintDiagJSON `json:"diags"`
-	Errors   int               `json:"errors"`
-	Warnings int               `json:"warnings"`
-	Infos    int               `json:"infos"`
-}
-
-// NetlintResultJSON is the body answered by POST /api/v1/netlint and
-// emitted by `balsabm netlint -json`: per-controller audits plus the
-// merged-circuit audit.
-type NetlintResultJSON struct {
-	Mode        string              `json:"mode"`
-	Controllers []NetlintReportJSON `json:"controllers"`
-	Merged      NetlintReportJSON   `json:"merged"`
-}
-
-// FromStats converts a static report.
-func FromStats(s netlint.Stats) StaticJSON {
-	return StaticJSON{
-		Cells: s.Cells, Nets: s.Nets, Literals: s.Literals,
-		Transistors: s.Transistors, Area: s.Area, Depth: s.Depth, Critical: s.Critical,
+// Format renders the report's diagnostics vet-style under its unit:
+// the bytes diag.Format gives for the typed originals.
+func (r CheckReportJSON) Format() string {
+	ds := make([]diag.Diag[diag.Rendered], len(r.Diags))
+	for i, d := range r.Diags {
+		ds[i] = d.Diag()
 	}
+	return diag.Format(ds, r.Unit)
 }
 
-// ToStats converts a wire-form static report back.
-func (s StaticJSON) ToStats() netlint.Stats {
-	return netlint.Stats{
-		Cells: s.Cells, Nets: s.Nets, Literals: s.Literals,
-		Transistors: s.Transistors, Area: s.Area, Depth: s.Depth, Critical: s.Critical,
+// CheckResultJSON is the body answered by POST /api/v1/check/{checker}
+// and printed by the CLI's checker subcommands under -json: the
+// checker, the arm it checked (empty when it checked the netlist as
+// written) and one report per checked unit.
+type CheckResultJSON struct {
+	Checker string            `json:"checker"`
+	Mode    string            `json:"mode,omitempty"`
+	Reports []CheckReportJSON `json:"reports"`
+}
+
+// Errors counts the error-severity findings across every report.
+func (r *CheckResultJSON) Errors() int {
+	n := 0
+	for _, rep := range r.Reports {
+		n += rep.Errors
 	}
-}
-
-// FromNetlintDiag converts one netlist finding.
-func FromNetlintDiag(d netlint.Diag) NetlintDiagJSON {
-	return NetlintDiagJSON{
-		Inst:     d.Loc.Inst,
-		Cell:     d.Loc.Cell,
-		Net:      d.Loc.Net,
-		Name:     d.Loc.Name,
-		Severity: d.Severity.String(),
-		Code:     d.Code,
-		Message:  d.Message,
-		Notes:    d.Notes,
-	}
-}
-
-// NetlintReport packages one audit result for the wire. Diags is
-// always non-nil so a clean audit encodes as [] rather than null.
-func NetlintReport(res netlint.Result) NetlintReportJSON {
-	out := NetlintReportJSON{
-		Circuit: res.Name,
-		Static:  FromStats(res.Stats),
-		Diags:   make([]NetlintDiagJSON, 0, len(res.Diags)),
-	}
-	for _, d := range res.Diags {
-		out.Diags = append(out.Diags, FromNetlintDiag(d))
-	}
-	out.Errors, out.Warnings, out.Infos = netlint.Count(res.Diags)
-	return out
-}
-
-// NetlintResult packages a synthesize-and-audit run (per-controller
-// audits plus the merged circuit) for the wire. Controllers is always
-// non-nil so an empty netlist encodes as [] rather than null.
-func NetlintResult(mode string, ctrls []netlint.Result, merged netlint.Result) *NetlintResultJSON {
-	out := &NetlintResultJSON{
-		Mode:        mode,
-		Controllers: make([]NetlintReportJSON, 0, len(ctrls)),
-		Merged:      NetlintReport(merged),
-	}
-	for _, c := range ctrls {
-		out.Controllers = append(out.Controllers, NetlintReport(c))
-	}
-	return out
-}
-
-// BmlintRequest is the body of POST /api/v1/bmlint: either a CH
-// design whose components are compiled to Burst-Mode specifications
-// and audited (Format "ch" default, "balsa"), or a single .bms spec
-// linted directly (Format "bms").
-type BmlintRequest struct {
-	Source string `json:"source"`
-	Format string `json:"format,omitempty"`
-	Name   string `json:"name,omitempty"`
-}
-
-// BmlintDiagJSON mirrors bmlint.Diag. State and Arc are -1 for
-// spec-level findings, matching bmlint.NoLoc.
-type BmlintDiagJSON struct {
-	// Spec names the audited spec on event streams (e.g.
-	// "stack.opt.push_seq1"); omitted inside BmlintReportJSON, whose
-	// Spec field carries it once.
-	Spec     string   `json:"spec,omitempty"`
-	State    int      `json:"state"`
-	Arc      int      `json:"arc"`
-	ArcText  string   `json:"arcText,omitempty"`
-	Sig      string   `json:"sig,omitempty"`
-	Severity string   `json:"severity"`
-	Code     string   `json:"code"`
-	Message  string   `json:"message"`
-	Notes    []string `json:"notes,omitempty"`
-}
-
-// BmStatsJSON mirrors bmlint.Stats: the BM200 static complexity
-// report for one spec.
-type BmStatsJSON struct {
-	States  int    `json:"states"`
-	Arcs    int    `json:"arcs"`
-	Inputs  int    `json:"inputs"`
-	Outputs int    `json:"outputs"`
-	MaxIn   int    `json:"maxIn"`
-	MaxOut  int    `json:"maxOut"`
-	Toggles int    `json:"toggles"`
-	Worst   string `json:"worst,omitempty"`
-	WorstN  int    `json:"worstN"`
-	Budget  int    `json:"budget"`
-}
-
-// BmlintReportJSON is the audit of one Burst-Mode specification: its
-// diagnostics and static report, with severity tallies.
-type BmlintReportJSON struct {
-	Spec     string           `json:"spec"`
-	Stats    BmStatsJSON      `json:"stats"`
-	Diags    []BmlintDiagJSON `json:"diags"`
-	Errors   int              `json:"errors"`
-	Warnings int              `json:"warnings"`
-	Infos    int              `json:"infos"`
-}
-
-// BmlintResultJSON is the body answered by POST /api/v1/bmlint and
-// emitted by `balsabm bmlint -json`: one audit per compiled component
-// spec (a single entry for Format "bms"). Design and Mode tag the
-// built-in-designs CLI mode and are empty on file/endpoint results.
-type BmlintResultJSON struct {
-	Design string             `json:"design,omitempty"`
-	Mode   string             `json:"mode,omitempty"`
-	Specs  []BmlintReportJSON `json:"specs"`
-}
-
-// FromBmStats converts a spec complexity report.
-func FromBmStats(s bmlint.Stats) BmStatsJSON {
-	return BmStatsJSON{
-		States: s.States, Arcs: s.Arcs, Inputs: s.Inputs, Outputs: s.Outputs,
-		MaxIn: s.MaxIn, MaxOut: s.MaxOut, Toggles: s.Toggles,
-		Worst: s.Worst, WorstN: s.WorstN, Budget: s.Budget,
-	}
-}
-
-// FromBmlintDiag converts one spec finding.
-func FromBmlintDiag(d bmlint.Diag) BmlintDiagJSON {
-	return BmlintDiagJSON{
-		State:    d.Loc.State,
-		Arc:      d.Loc.Arc,
-		ArcText:  d.Loc.ArcText,
-		Sig:      d.Loc.Sig,
-		Severity: d.Severity.String(),
-		Code:     d.Code,
-		Message:  d.Message,
-		Notes:    d.Notes,
-	}
-}
-
-// BmlintReport packages one spec audit for the wire. Diags is always
-// non-nil so a clean audit encodes as [] rather than null.
-func BmlintReport(res bmlint.Result) BmlintReportJSON {
-	out := BmlintReportJSON{
-		Spec:  res.Name,
-		Stats: FromBmStats(res.Stats),
-		Diags: make([]BmlintDiagJSON, 0, len(res.Diags)),
-	}
-	for _, d := range res.Diags {
-		out.Diags = append(out.Diags, FromBmlintDiag(d))
-	}
-	out.Errors, out.Warnings, out.Infos = bmlint.Count(res.Diags)
-	return out
-}
-
-// BmlintResult packages a compile-and-audit run for the wire. Specs is
-// always non-nil so an empty netlist encodes as [] rather than null.
-func BmlintResult(specs []bmlint.Result) *BmlintResultJSON {
-	out := &BmlintResultJSON{Specs: make([]BmlintReportJSON, 0, len(specs))}
-	for _, s := range specs {
-		out.Specs = append(out.Specs, BmlintReport(s))
-	}
-	return out
-}
-
-// HazverRequest is the body of POST /api/v1/hazver: design source
-// whose controllers are synthesized, mapped, and statically verified
-// hazard-free on their specified bursts. Fields match the KindSynth
-// job request: Source in the given Format ("ch" default, "balsa"),
-// Mode selecting the arm ("opt" default, "unopt"), and the flow
-// config.
-type HazverRequest struct {
-	Source string     `json:"source"`
-	Format string     `json:"format,omitempty"`
-	Name   string     `json:"name,omitempty"`
-	Mode   string     `json:"mode,omitempty"`
-	Config FlowConfig `json:"config"`
-}
-
-// HazverDiagJSON mirrors hazver.Diag. Tr is -1 for function-level
-// findings, matching hazver.NoLoc.
-type HazverDiagJSON struct {
-	// Circuit names the verified circuit on event streams (e.g.
-	// "stack.opt"); omitted inside HazverReportJSON, whose Circuit
-	// field carries it once.
-	Circuit  string   `json:"circuit,omitempty"`
-	Fn       string   `json:"fn,omitempty"`
-	Tr       int      `json:"tr"`
-	Burst    string   `json:"burst,omitempty"`
-	Severity string   `json:"severity"`
-	Code     string   `json:"code"`
-	Message  string   `json:"message"`
-	Notes    []string `json:"notes,omitempty"`
-}
-
-// HazverStatsJSON mirrors hazver.Stats: the static report for one
-// hazard-verification audit.
-type HazverStatsJSON struct {
-	Units      int  `json:"units"`
-	Skipped    int  `json:"skipped"`
-	Functions  int  `json:"functions"`
-	Bursts     int  `json:"bursts"`
-	Unverified int  `json:"unverified"`
-	Passes     int  `json:"passes"`
-	MaxXDepth  int  `json:"maxXDepth"`
-	Compiled   bool `json:"compiled"`
-}
-
-// HazverReportJSON is the verification of one circuit: its
-// diagnostics and static report, with severity tallies.
-type HazverReportJSON struct {
-	Circuit  string           `json:"circuit"`
-	Stats    HazverStatsJSON  `json:"stats"`
-	Diags    []HazverDiagJSON `json:"diags"`
-	Errors   int              `json:"errors"`
-	Warnings int              `json:"warnings"`
-	Infos    int              `json:"infos"`
-}
-
-// HazverResultJSON is the body answered by POST /api/v1/hazver and
-// emitted by `balsabm hazver -json`.
-type HazverResultJSON struct {
-	Mode   string           `json:"mode"`
-	Report HazverReportJSON `json:"report"`
-}
-
-// FromHazverDiag converts one hazard-verification finding.
-func FromHazverDiag(d hazver.Diag) HazverDiagJSON {
-	return HazverDiagJSON{
-		Fn:       d.Loc.Fn,
-		Tr:       d.Loc.Tr,
-		Burst:    d.Loc.Burst,
-		Severity: d.Severity.String(),
-		Code:     d.Code,
-		Message:  d.Message,
-		Notes:    d.Notes,
-	}
-}
-
-// FromHazverStats converts a hazard-verification static report.
-func FromHazverStats(s hazver.Stats) HazverStatsJSON {
-	return HazverStatsJSON{
-		Units: s.Units, Skipped: s.Skipped, Functions: s.Functions,
-		Bursts: s.Bursts, Unverified: s.Unverified, Passes: s.Passes,
-		MaxXDepth: s.MaxXDepth, Compiled: s.Compiled,
-	}
-}
-
-// HazverReport packages one audit result for the wire. Diags is
-// always non-nil so a clean audit encodes as [] rather than null.
-func HazverReport(res hazver.Result) HazverReportJSON {
-	out := HazverReportJSON{
-		Circuit: res.Name,
-		Stats:   FromHazverStats(res.Stats),
-		Diags:   make([]HazverDiagJSON, 0, len(res.Diags)),
-	}
-	for _, d := range res.Diags {
-		out.Diags = append(out.Diags, FromHazverDiag(d))
-	}
-	out.Errors, out.Warnings, out.Infos = hazver.Count(res.Diags)
-	return out
-}
-
-// HazverResult packages a synthesize-and-verify run for the wire.
-func HazverResult(mode string, res hazver.Result) *HazverResultJSON {
-	return &HazverResultJSON{Mode: mode, Report: HazverReport(res)}
+	return n
 }
 
 // AuditCheckerJSON is one checker's tally inside an audit: its
@@ -890,38 +603,15 @@ type AuditResultJSON struct {
 
 // FromAuditResult converts one design audit to its wire form.
 func FromAuditResult(a *flow.AuditResult) *AuditResultJSON {
-	le, lw, _ := analysis.Count(a.LintDiags)
-	var be, bw int
-	for _, s := range a.Specs {
-		e, w, _ := bmlint.Count(s.Diags)
-		be += e
-		bw += w
-	}
-	var ne, nw int
-	for _, c := range a.Circuits {
-		e, w, _ := netlint.Count(c.Diags)
-		ne += e
-		nw += w
-	}
-	var he, hw, hb int
-	for _, h := range a.Hazver {
-		e, w, _ := hazver.Count(h.Diags)
-		he += e
-		hw += w
-		hb += h.Stats.Bursts
+	checkers := map[string]AuditCheckerJSON{}
+	for _, t := range a.Tallies() {
+		checkers[t.Checker] = AuditCheckerJSON{Errors: t.Errors, Warnings: t.Warnings, Checked: t.Checked}
 	}
 	return &AuditResultJSON{
-		Design:  a.Design,
-		OK:      a.OK(),
-		Summary: a.Summary(),
-		Checkers: map[string]AuditCheckerJSON{
-			"chlint":  {Errors: le, Warnings: lw, Checked: 1},
-			"bmlint":  {Errors: be, Warnings: bw, Checked: a.SpecsChecked},
-			"covers":  {Checked: a.CoversChecked},
-			"mapped":  {Checked: a.MappedChecked},
-			"netlint": {Errors: ne, Warnings: nw, Checked: len(a.Circuits)},
-			"hazver":  {Errors: he, Warnings: hw, Checked: hb},
-		},
+		Design:   a.Design,
+		OK:       a.OK(),
+		Summary:  a.Summary(),
+		Checkers: checkers,
 		Failures: a.Failures,
 		Errors:   a.Errors(),
 		Warnings: a.Warnings(),

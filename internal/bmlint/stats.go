@@ -20,16 +20,16 @@ import (
 // hfmin.EnumBudget — the node budget past which the minimizer
 // abandons the exact path for greedy expansion.
 type Stats struct {
-	States  int // specification states
-	Arcs    int
-	Inputs  int
-	Outputs int
-	MaxIn   int    // widest input burst
-	MaxOut  int    // widest output burst
-	Toggles int    // total output toggles across all arcs
-	Worst   string // most-toggled output (lexically first on ties)
-	WorstN  int    // its toggle count
-	Budget  int    // hfmin.EnumBudget, for the pressure comparison
+	States  int    `json:"states"` // specification states
+	Arcs    int    `json:"arcs"`
+	Inputs  int    `json:"inputs"`
+	Outputs int    `json:"outputs"`
+	MaxIn   int    `json:"maxIn"`           // widest input burst
+	MaxOut  int    `json:"maxOut"`          // widest output burst
+	Toggles int    `json:"toggles"`         // total output toggles across all arcs
+	Worst   string `json:"worst,omitempty"` // most-toggled output (lexically first on ties)
+	WorstN  int    `json:"worstN"`          // its toggle count
+	Budget  int    `json:"budget"`          // hfmin.EnumBudget, for the pressure comparison
 }
 
 // ComputeStats computes the BM200 report for a spec.

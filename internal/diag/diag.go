@@ -1,7 +1,8 @@
-// Package diag is the shared diagnostics layer of the three-tier lint
-// stack: chlint (internal/analysis, CHxxx codes over CH programs),
-// bmlint (internal/bmlint, BMxxx codes over Burst-Mode specs) and
-// netlint (internal/netlint, NLxxx codes over mapped netlists) all
+// Package diag is the shared diagnostics layer of the four checker
+// tiers: chlint (internal/analysis, CHxxx codes over CH programs),
+// bmlint (internal/bmlint, BMxxx codes over Burst-Mode specs), netlint
+// (internal/netlint, NLxxx codes over mapped netlists) and hazver
+// (internal/hazver, HZxxx codes over mapped logic and its bursts) all
 // emit through the types here. One Severity scale, one Diag shape, one
 // vet-style renderer and one deterministic sort — so the CLI, the
 // daemon's SSE stream, /metrics and the golden corpora agree on the
@@ -49,6 +50,16 @@ func (s Severity) String() string {
 	return fmt.Sprintf("Severity(%d)", int(s))
 }
 
+// ParseSeverity is the inverse of Severity.String.
+func ParseSeverity(s string) (Severity, bool) {
+	for _, sev := range []Severity{SevError, SevWarning, SevInfo} {
+		if sev.String() == s {
+			return sev, true
+		}
+	}
+	return 0, false
+}
+
 // Loc is a diagnostic location: where in its artifact a finding lives.
 // Implementations are small value types (ch.Pos, bmlint.Loc,
 // netlint.Loc).
@@ -66,6 +77,22 @@ type Loc interface {
 	Key() (a, b int)
 }
 
+// Rendered is a location already rendered by its checker: the Fragment
+// text and tightness plus the sort key. Diagnostics decoded from the
+// wire carry it, so they render and sort exactly like the typed
+// originals.
+type Rendered struct {
+	Text  string
+	Tight bool
+	A, B  int
+}
+
+// Fragment implements Loc.
+func (r Rendered) Fragment() (string, bool) { return r.Text, r.Tight }
+
+// Key implements Loc.
+func (r Rendered) Key() (int, int) { return r.A, r.B }
+
 // Diag is one diagnostic: where, how bad, which rule, and why.
 type Diag[L Loc] struct {
 	Loc      L
@@ -73,6 +100,12 @@ type Diag[L Loc] struct {
 	Code     string // stable "XXnnn" code, see the package's Codes table
 	Message  string
 	Notes    []string // secondary lines: table rows, related locations
+}
+
+// Erase returns the diagnostic with its location held as a Loc
+// interface value, so findings of every checker share one type.
+func Erase[L Loc](d Diag[L]) Diag[Loc] {
+	return Diag[Loc]{Loc: d.Loc, Severity: d.Severity, Code: d.Code, Message: d.Message, Notes: d.Notes}
 }
 
 // String renders the diagnostic without a unit prefix.

@@ -13,6 +13,7 @@ import (
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
+	"balsabm/internal/diag"
 	"balsabm/internal/hazver"
 	"balsabm/internal/hfmin"
 	"balsabm/internal/minimalist"
@@ -63,55 +64,66 @@ func (a *AuditResult) fail(format string, args ...any) {
 	a.Failures = append(a.Failures, fmt.Sprintf(format, args...))
 }
 
-// bmCount tallies the bmlint findings across all audited specs.
-func (a *AuditResult) bmCount() (errors, warnings int) {
+// Tally is one row of an audit: a checker's error and warning findings
+// and how many items it covered (specs, covers, mapped controllers,
+// circuits, bursts — whichever the checker counts).
+type Tally struct {
+	Checker  string
+	Errors   int
+	Warnings int
+	Checked  int
+}
+
+// count adds the error and warning findings of ds to t.
+func count[L diag.Loc](t *Tally, ds []diag.Diag[L]) {
+	e, w, _ := diag.Count(ds)
+	t.Errors += e
+	t.Warnings += w
+}
+
+// Tallies returns the audit's six rows in stack order: chlint, bmlint,
+// covers, mapped, netlint, hazver.
+func (a *AuditResult) Tallies() []Tally {
+	lint := Tally{Checker: Chlint.Name, Checked: 1}
+	count(&lint, a.LintDiags)
+	bm := Tally{Checker: Bmlint.Name, Checked: a.SpecsChecked}
 	for _, s := range a.Specs {
-		e, w, _ := bmlint.Count(s.Diags)
-		errors += e
-		warnings += w
+		count(&bm, s.Diags)
 	}
-	return
-}
-
-// nlCount tallies the netlint findings across all audited circuits.
-func (a *AuditResult) nlCount() (errors, warnings int) {
+	nl := Tally{Checker: Netlint.Name, Checked: len(a.Circuits)}
 	for _, c := range a.Circuits {
-		e, w, _ := netlint.Count(c.Diags)
-		errors += e
-		warnings += w
+		count(&nl, c.Diags)
 	}
-	return
-}
-
-// hzCount tallies the hazver findings and verified bursts across both
-// arms.
-func (a *AuditResult) hzCount() (errors, warnings, bursts int) {
+	hz := Tally{Checker: Hazver.Name}
 	for _, h := range a.Hazver {
-		e, w, _ := hazver.Count(h.Diags)
-		errors += e
-		warnings += w
-		bursts += h.Stats.Bursts
+		count(&hz, h.Diags)
+		hz.Checked += h.Stats.Bursts
 	}
-	return
+	return []Tally{
+		lint, bm,
+		{Checker: "covers", Checked: a.CoversChecked},
+		{Checker: "mapped", Checked: a.MappedChecked},
+		nl, hz,
+	}
 }
 
 // Errors counts everything that must fail an audit: checker failures
-// and error-severity findings from any of the three linters.
+// and error-severity findings from any of the four linters.
 func (a *AuditResult) Errors() int {
-	e, _, _ := analysis.Count(a.LintDiags)
-	be, _ := a.bmCount()
-	ne, _ := a.nlCount()
-	he, _, _ := a.hzCount()
-	return e + be + ne + he + len(a.Failures)
+	n := len(a.Failures)
+	for _, t := range a.Tallies() {
+		n += t.Errors
+	}
+	return n
 }
 
 // Warnings counts warning-severity findings from the four linters.
 func (a *AuditResult) Warnings() int {
-	_, w, _ := analysis.Count(a.LintDiags)
-	_, bw := a.bmCount()
-	_, nw := a.nlCount()
-	_, hw, _ := a.hzCount()
-	return w + bw + nw + hw
+	n := 0
+	for _, t := range a.Tallies() {
+		n += t.Warnings
+	}
+	return n
 }
 
 // OK reports whether the whole stack passed with no errors.
@@ -126,14 +138,23 @@ func (a *AuditResult) Summary() string {
 	if !a.OK() {
 		status = "FAIL"
 	}
-	le, lw, _ := analysis.Count(a.LintDiags)
-	be, bw := a.bmCount()
-	ne, nw := a.nlCount()
-	he, hw, hb := a.hzCount()
+	t := a.Tallies()
+	lint, bm, covers, mapped, nl, hz := t[0], t[1], t[2], t[3], t[4], t[5]
 	return fmt.Sprintf("%s: audit %s: chlint %de/%dw; bmlint %de/%dw, %d specs; %d covers; %d mapped; netlint %de/%dw, %d circuits; hazver %de/%dw, %d bursts; %d errors, %d warnings",
-		a.Design, status, le, lw, be, bw, a.SpecsChecked,
-		a.CoversChecked, a.MappedChecked, ne, nw,
-		len(a.Circuits), he, hw, hb, a.Errors(), a.Warnings())
+		a.Design, status, lint.Errors, lint.Warnings, bm.Errors, bm.Warnings, bm.Checked,
+		covers.Checked, mapped.Checked, nl.Errors, nl.Warnings, nl.Checked,
+		hz.Errors, hz.Warnings, hz.Checked, a.Errors(), a.Warnings())
+}
+
+// writeFindings renders the error and warning findings of ds,
+// vet-style, one per line, prefixed with unit when non-empty.
+func writeFindings[L diag.Loc](sb *strings.Builder, unit string, ds []diag.Diag[L]) {
+	for _, d := range ds {
+		if d.Severity != diag.SevInfo {
+			sb.WriteString(d.Render(unit))
+			sb.WriteString("\n")
+		}
+	}
 }
 
 // Details renders every failure and every error/warning finding,
@@ -144,31 +165,15 @@ func (a *AuditResult) Details() string {
 	for _, f := range a.Failures {
 		fmt.Fprintf(&sb, "%s: %s\n", a.Design, f)
 	}
-	for _, d := range a.LintDiags {
-		if d.Severity != analysis.SevInfo {
-			fmt.Fprintf(&sb, "%s\n", d.String())
-		}
-	}
+	writeFindings(&sb, "", a.LintDiags)
 	for _, s := range a.Specs {
-		for _, d := range s.Diags {
-			if d.Severity != bmlint.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(s.Name))
-			}
-		}
+		writeFindings(&sb, s.Name, s.Diags)
 	}
 	for _, c := range a.Circuits {
-		for _, d := range c.Diags {
-			if d.Severity != netlint.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(c.Name))
-			}
-		}
+		writeFindings(&sb, c.Name, c.Diags)
 	}
 	for _, h := range a.Hazver {
-		for _, d := range h.Diags {
-			if d.Severity != hazver.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(h.Name))
-			}
-		}
+		writeFindings(&sb, h.Name, h.Diags)
 	}
 	return sb.String()
 }
@@ -188,7 +193,7 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 
 	start := time.Now()
 	a.LintDiags = analysis.Analyze(d.Control())
-	r.met.Timings.Observe("lint", time.Since(start))
+	r.met.Timings.Observe(Chlint.Gate, time.Since(start))
 
 	clOpt := r.opt.Cluster
 	clOpt.Pool = r.pool
@@ -223,13 +228,9 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 			return nil, fmt.Errorf("%s arm: %w", arm.name, err)
 		}
 		start = time.Now()
-		for _, nl := range mapped {
-			res := netlint.Audit(nl, r.opt.Lib)
-			res.Name = d.Name + "." + arm.name + "." + nl.Name
-			a.Circuits = append(a.Circuits, res)
-		}
+		a.Circuits = append(a.Circuits, r.netlintControllers(d.Name, arm.name, mapped)...)
 		a.Circuits = append(a.Circuits, NetlintMerged(d.Name, arm.name, mapped, r.opt.Lib))
-		r.met.Timings.Observe("netlint", time.Since(start))
+		r.met.Timings.Observe(Netlint.Gate, time.Since(start))
 		hz, err := r.hazverAudit(d.Name, arm.name, arm.n, mapped, arm.mode)
 		if err != nil {
 			return nil, fmt.Errorf("%s arm: %w", arm.name, err)

@@ -80,7 +80,7 @@ func TestBmlintGolden(t *testing.T) {
 }
 
 // TestBmlintGateAborts: error-severity findings must abort the gate as
-// a *BmlintError carrying the failing spec's diagnostics.
+// a *GateError carrying the failing spec's diagnostics.
 func TestBmlintGateAborts(t *testing.T) {
 	results := []bmlint.Result{
 		{Name: "good", Diags: []bmlint.Diag{
@@ -94,12 +94,12 @@ func TestBmlintGateAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("want gate error for BM-error finding")
 	}
-	var be *BmlintError
-	if !errors.As(err, &be) {
-		t.Fatalf("want *BmlintError, got %T: %v", err, err)
+	var be *GateError
+	if !errors.As(err, &be) || be.Checker != Bmlint {
+		t.Fatalf("want a bmlint *GateError, got %T: %v", err, err)
 	}
-	if be.Unit() != "fake.opt.bad" {
-		t.Errorf("Unit() = %q", be.Unit())
+	if be.Unit != "fake.opt.bad" {
+		t.Errorf("Unit = %q", be.Unit)
 	}
 	if !strings.Contains(be.Error(), "BM007") {
 		t.Errorf("error text misses the code: %s", be.Error())
@@ -108,7 +108,7 @@ func TestBmlintGateAborts(t *testing.T) {
 
 // TestBmlintGateRecordsFindings: non-error findings (warnings, the
 // BM200 static report) are recorded on the metrics sink and streamed
-// through NotifyBmlint, and the gate passes.
+// through NotifyFindings, and the gate passes.
 func TestBmlintGateRecordsFindings(t *testing.T) {
 	results := []bmlint.Result{
 		{Name: "warned", Diags: []bmlint.Diag{
@@ -117,18 +117,18 @@ func TestBmlintGateRecordsFindings(t *testing.T) {
 		}},
 	}
 	met := &Metrics{}
-	var streamed []BmlintFinding
-	met.NotifyBmlint(func(f BmlintFinding) { streamed = append(streamed, f) })
+	var streamed []Finding
+	met.NotifyFindings(func(f Finding) { streamed = append(streamed, f) })
 	if err := bmlintClassify("fake", "opt", results, met); err != nil {
 		t.Fatalf("warnings must not abort: %v", err)
 	}
-	got := met.BmlintFindings()
+	got := met.Findings()
 	if len(got) != len(streamed) || len(got) != 2 {
 		t.Fatalf("want 2 recorded + streamed findings, got %d/%d: %v", len(got), len(streamed), got)
 	}
 	for _, f := range got {
-		if f.Unit() != "fake.opt.warned" {
-			t.Errorf("finding unit = %q", f.Unit())
+		if f.Checker != Bmlint || f.Unit != "fake.opt.warned" {
+			t.Errorf("finding %s unit = %q", f.Checker.Name, f.Unit)
 		}
 	}
 	// -stats surfaces them through String.
@@ -142,7 +142,7 @@ func TestBmlintGateRecordsFindings(t *testing.T) {
 func TestBmlintGateTimed(t *testing.T) {
 	d := designs.All()[0]
 	r := newRunner(nil, nil)
-	if err := r.bmlintGate(d.Name, "unopt", d.Control()); err != nil {
+	if _, err := BmlintGate(d.Name, "unopt", d.Control(), r.met); err != nil {
 		t.Fatalf("gate failed on paper design: %v", err)
 	}
 	if s, ok := r.met.Timings.Snapshot()["bmlint"]; !ok || s.Count != 1 {

@@ -166,138 +166,35 @@ type Metrics struct {
 	ControllersReused        parallel.Counter
 	ControllersResynthesized parallel.Counter
 
-	lintMu     sync.Mutex
-	lint       []LintFinding
-	lintNotify func(LintFinding)
-
-	bmlintMu     sync.Mutex
-	bmlint       []BmlintFinding
-	bmlintNotify func(BmlintFinding)
-
-	netlintMu     sync.Mutex
-	netlint       []NetlintFinding
-	netlintNotify func(NetlintFinding)
-
-	hazverMu     sync.Mutex
-	hazver       []HazverFinding
-	hazverNotify func(HazverFinding)
+	findingsMu sync.Mutex
+	findings   []Finding
+	notify     func(Finding)
 }
 
-// NotifyLint registers a callback invoked (synchronously, in gate
-// order) for every non-error finding the pre-synthesis lint gate
-// records — the hook the daemon uses to stream findings over SSE.
-// Call before the run starts.
-func (m *Metrics) NotifyLint(fn func(LintFinding)) {
-	m.lintMu.Lock()
-	defer m.lintMu.Unlock()
-	m.lintNotify = fn
+// NotifyFindings registers a callback invoked (synchronously, in gate
+// order) for every non-error finding a gate records — the hook the
+// daemon uses to stream findings over SSE. Call before the run starts.
+func (m *Metrics) NotifyFindings(fn func(Finding)) {
+	m.findingsMu.Lock()
+	defer m.findingsMu.Unlock()
+	m.notify = fn
 }
 
-// LintFindings returns the non-error findings recorded so far, in
-// gate order.
-func (m *Metrics) LintFindings() []LintFinding {
-	m.lintMu.Lock()
-	defer m.lintMu.Unlock()
-	out := make([]LintFinding, len(m.lint))
-	copy(out, m.lint)
+// Findings returns the non-error findings the gates recorded so far,
+// in record order.
+func (m *Metrics) Findings() []Finding {
+	m.findingsMu.Lock()
+	defer m.findingsMu.Unlock()
+	out := make([]Finding, len(m.findings))
+	copy(out, m.findings)
 	return out
 }
 
-func (m *Metrics) recordLint(f LintFinding) {
-	m.lintMu.Lock()
-	m.lint = append(m.lint, f)
-	fn := m.lintNotify
-	m.lintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyBmlint registers a callback invoked (synchronously) for every
-// non-error finding the post-compile bmlint gate records — the hook
-// the daemon uses to stream spec findings over SSE. Call before the
-// run starts.
-func (m *Metrics) NotifyBmlint(fn func(BmlintFinding)) {
-	m.bmlintMu.Lock()
-	defer m.bmlintMu.Unlock()
-	m.bmlintNotify = fn
-}
-
-// BmlintFindings returns the non-error spec findings recorded so far,
-// in gate order.
-func (m *Metrics) BmlintFindings() []BmlintFinding {
-	m.bmlintMu.Lock()
-	defer m.bmlintMu.Unlock()
-	out := make([]BmlintFinding, len(m.bmlint))
-	copy(out, m.bmlint)
-	return out
-}
-
-func (m *Metrics) recordBmlint(f BmlintFinding) {
-	m.bmlintMu.Lock()
-	m.bmlint = append(m.bmlint, f)
-	fn := m.bmlintNotify
-	m.bmlintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyNetlint registers a callback invoked (synchronously) for every
-// non-error finding the post-merge netlint gate records — the hook the
-// daemon uses to stream netlist findings over SSE. Call before the run
-// starts.
-func (m *Metrics) NotifyNetlint(fn func(NetlintFinding)) {
-	m.netlintMu.Lock()
-	defer m.netlintMu.Unlock()
-	m.netlintNotify = fn
-}
-
-// NetlintFindings returns the non-error netlist findings recorded so
-// far, in gate order.
-func (m *Metrics) NetlintFindings() []NetlintFinding {
-	m.netlintMu.Lock()
-	defer m.netlintMu.Unlock()
-	out := make([]NetlintFinding, len(m.netlint))
-	copy(out, m.netlint)
-	return out
-}
-
-func (m *Metrics) recordNetlint(f NetlintFinding) {
-	m.netlintMu.Lock()
-	m.netlint = append(m.netlint, f)
-	fn := m.netlintNotify
-	m.netlintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyHazver registers a callback invoked (synchronously) for every
-// non-error finding the post-mapping hazard-verification gate records —
-// the hook the daemon uses to stream hazver findings over SSE. Call
-// before the run starts.
-func (m *Metrics) NotifyHazver(fn func(HazverFinding)) {
-	m.hazverMu.Lock()
-	defer m.hazverMu.Unlock()
-	m.hazverNotify = fn
-}
-
-// HazverFindings returns the non-error hazard-verification findings
-// recorded so far, in gate order.
-func (m *Metrics) HazverFindings() []HazverFinding {
-	m.hazverMu.Lock()
-	defer m.hazverMu.Unlock()
-	out := make([]HazverFinding, len(m.hazver))
-	copy(out, m.hazver)
-	return out
-}
-
-func (m *Metrics) recordHazver(f HazverFinding) {
-	m.hazverMu.Lock()
-	m.hazver = append(m.hazver, f)
-	fn := m.hazverNotify
-	m.hazverMu.Unlock()
+func (m *Metrics) record(f Finding) {
+	m.findingsMu.Lock()
+	m.findings = append(m.findings, f)
+	fn := m.notify
+	m.findingsMu.Unlock()
 	if fn != nil {
 		fn(f)
 	}
@@ -325,17 +222,13 @@ func (m *Metrics) String() string {
 	if t := m.Timings.String(); t != "" {
 		s += t
 	}
-	for _, f := range m.LintFindings() {
-		s += fmt.Sprintf("lint: %s: %s\n", f.Design, f.Diag)
-	}
-	for _, f := range m.BmlintFindings() {
-		s += fmt.Sprintf("bmlint: %s: %s\n", f.Unit(), f.Diag)
-	}
-	for _, f := range m.NetlintFindings() {
-		s += fmt.Sprintf("netlint: %s: %s\n", f.Circuit(), f.Diag)
-	}
-	for _, f := range m.HazverFindings() {
-		s += fmt.Sprintf("hazver: %s: %s\n", f.Circuit(), f.Diag)
+	fs := m.Findings()
+	for _, c := range Checkers {
+		for _, f := range fs {
+			if f.Checker == c {
+				s += fmt.Sprintf("%s: %s: %s\n", c.Gate, f.Unit, f.Diag)
+			}
+		}
 	}
 	return s
 }
@@ -709,7 +602,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 			res.Unopt, res.Bench = cp.Arm, cp.Bench
 			return nil
 		}
-		if err := r.bmlintGate(d.Name, "unopt", d.Control()); err != nil {
+		if _, err := BmlintGate(d.Name, "unopt", d.Control(), r.met); err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
 		mapped, ctrls, err := r.synthesizeNetlist(d.Control(), techmap.AreaShared)
@@ -720,10 +613,11 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		for _, c := range ctrls {
 			res.Unopt.ControlArea += c.Area
 		}
-		res.Unopt.Static, err = r.netlintGate(d.Name, "unopt", mapped)
+		static, err := NetlintGate(d.Name, "unopt", mapped, r.opt.Lib, r.met)
 		if err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
+		res.Unopt.Static = static.Stats
 		if _, err := r.hazverGate(d.Name, "unopt", d.Control(), mapped, techmap.AreaShared); err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
@@ -760,7 +654,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 			ck.saveCluster(optNetlist, report)
 		}
 		res.Report = report
-		if err := r.bmlintGate(d.Name, "opt", optNetlist); err != nil {
+		if _, err := BmlintGate(d.Name, "opt", optNetlist, r.met); err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}
 		mapped, ctrls, err := r.synthesizeNetlist(optNetlist, techmap.SpeedSplit)
@@ -771,10 +665,11 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		for _, c := range ctrls {
 			res.Opt.ControlArea += c.Area
 		}
-		res.Opt.Static, err = r.netlintGate(d.Name, "opt", mapped)
+		static, err := NetlintGate(d.Name, "opt", mapped, r.opt.Lib, r.met)
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}
+		res.Opt.Static = static.Stats
 		if _, err := r.hazverGate(d.Name, "opt", optNetlist, mapped, techmap.SpeedSplit); err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}

@@ -3,7 +3,6 @@ package flow
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"balsabm/internal/bm"
@@ -16,48 +15,6 @@ import (
 	"balsabm/internal/minimalist"
 	"balsabm/internal/techmap"
 )
-
-// HazverError aborts a flow run: the static gate-level hazard
-// verification found an error-severity diagnostic in one arm — a
-// specified burst on which the mapped logic can glitch (HZ001/HZ002)
-// or disagrees with its specification at a burst endpoint (HZ003), so
-// the measured hardware would not be hazard-free.
-type HazverError struct {
-	Design string
-	Arm    string // "unopt" or "opt"
-	Diags  []hazver.Diag
-}
-
-func (e *HazverError) Error() string {
-	var sb strings.Builder
-	sb.WriteString("hazver: ")
-	sb.WriteString(e.Circuit())
-	sb.WriteString(": ")
-	if len(e.Diags) == 1 {
-		sb.WriteString(e.Diags[0].String())
-	} else {
-		sb.WriteString("static hazard verification failed:")
-		for _, d := range e.Diags {
-			sb.WriteString("\n\t")
-			sb.WriteString(d.String())
-		}
-	}
-	return sb.String()
-}
-
-// Circuit names the verified circuit, e.g. "stack.opt".
-func (e *HazverError) Circuit() string { return e.Design + "." + e.Arm }
-
-// HazverFinding is one non-error hazard-verification finding surfaced
-// by the post-mapping gate, tagged with the circuit it was found in.
-type HazverFinding struct {
-	Design string
-	Arm    string
-	Diag   hazver.Diag
-}
-
-// Circuit names the verified circuit, e.g. "stack.opt".
-func (f HazverFinding) Circuit() string { return f.Design + "." + f.Arm }
 
 // hazverUnits derives the verification units of one arm from the
 // netlists it ships: one unit per distinct canonical controller shape
@@ -164,7 +121,7 @@ func (r *runner) hazverSynth(name string, sp *bm.Spec, canon *ch.CanonicalForm, 
 // gate does.
 func (r *runner) hazverAudit(design, arm string, n *core.Netlist, mapped []*gates.Netlist, mode techmap.Mode) (hazver.Result, error) {
 	start := time.Now()
-	defer func() { r.met.Timings.Observe("hazver", time.Since(start)) }()
+	defer func() { r.met.Timings.Observe(Hazver.Gate, time.Since(start)) }()
 	units, err := r.hazverUnits(n, mapped, mode)
 	if err != nil {
 		return hazver.Result{}, err
@@ -193,34 +150,23 @@ func HazverNetlist(ctx context.Context, design, arm string, n *core.Netlist, mod
 // controllers are mapped and the merged circuit passes netlint, the
 // mapped logic of every controller shape the arm ships is statically
 // verified hazard-free on its specified bursts. Error findings abort
-// the arm as a *HazverError; warnings and the HZ200 static report land
+// the arm as a *GateError; warnings and the HZ200 static report land
 // on the metrics sink (shown by -stats, streamed on the daemon's
-// "lint" SSE stage) and never block. The full audit result is returned
-// either way so callers can report it.
+// "lint" SSE events) and never block. The full audit result is
+// returned either way so callers can report it.
 func (r *runner) hazverGate(design, arm string, n *core.Netlist, mapped []*gates.Netlist, mode techmap.Mode) (hazver.Result, error) {
 	res, err := r.hazverAudit(design, arm, n, mapped, mode)
 	if err != nil {
 		return hazver.Result{}, err
 	}
-	var errs []hazver.Diag
-	for _, d := range res.Diags {
-		if d.Severity == hazver.SevError {
-			errs = append(errs, d)
-		} else {
-			r.met.recordHazver(HazverFinding{Design: design, Arm: arm, Diag: d})
-		}
-	}
-	if len(errs) > 0 {
-		return res, &HazverError{Design: design, Arm: arm, Diags: errs}
-	}
-	return res, nil
+	return res, classify(Hazver, design+"."+arm, res.Diags, r.met)
 }
 
 // HazverGate runs the post-mapping static hazard gate the way the
 // flow's runDesign does, for callers outside a flow run (the daemon's
 // synth executor): mapped are the arm's netlists, one per component of
 // n in order, as SynthesizeNetlistCtx returned them. Error findings
-// abort as a *HazverError; warnings and the HZ200 report land on
+// abort as a *GateError; warnings and the HZ200 report land on
 // opt.Metrics and never block.
 func HazverGate(ctx context.Context, design, arm string, n *core.Netlist, mapped []*gates.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
 	return newRunner(ctx, opt).hazverGate(design, arm, n, mapped, mode)

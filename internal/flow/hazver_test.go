@@ -16,6 +16,7 @@ import (
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
+	"balsabm/internal/diag"
 	"balsabm/internal/gates"
 	"balsabm/internal/hazver"
 	"balsabm/internal/hclib"
@@ -228,10 +229,10 @@ search:
 	// The flow gate verifies the netlists the arm ships: with the
 	// tampered netlist in place of the component's shipped one, it
 	// aborts with exactly these findings.
-	var errDiags []hazver.Diag
+	var errDiags []diag.Diag[diag.Loc]
 	for _, dg := range res.Diags {
 		if dg.Severity == hazver.SevError {
-			errDiags = append(errDiags, dg)
+			errDiags = append(errDiags, diag.Erase(dg))
 		}
 	}
 	r := newRunner(context.Background(), nil)
@@ -249,16 +250,16 @@ search:
 		t.Fatalf("tampered unit %q is not a component", tu.unit.Name)
 	}
 	_, err = r.hazverGate("tamper", "opt", d.Control(), mapped, techmap.SpeedSplit)
-	var he *HazverError
-	if !errors.As(err, &he) {
+	var he *GateError
+	if !errors.As(err, &he) || he.Checker != Hazver {
 		t.Fatalf("gate passed the shipped tampered netlist: %v", err)
 	}
-	if he.Circuit() != "tamper.opt" || !strings.Contains(he.Error(), "HZ001") {
-		t.Errorf("HazverError misses the finding: %s", he.Error())
+	if he.Unit != "tamper.opt" || !strings.Contains(he.Error(), "HZ001") {
+		t.Errorf("GateError misses the finding: %s", he.Error())
 	}
 	if !reflect.DeepEqual(he.Diags, errDiags) {
 		t.Errorf("gate findings differ from the direct audit's:\n%s\nwant:\n%s", he.Error(),
-			hazver.Format(errDiags, "tamper.opt"))
+			diag.Format(errDiags, "tamper.opt"))
 	}
 }
 

@@ -137,14 +137,14 @@ type Options struct {
 
 // Stats is the static report for one audit.
 type Stats struct {
-	Units      int  // verifiable controllers
-	Skipped    int  // hand-library circuits without burst provenance
-	Functions  int  // outputs + y* bits across all units
-	Bursts     int  // specified transitions verified
-	Unverified int  // transitions skipped (undriven/missing function nets)
-	Passes     int  // ternary evaluation passes
-	MaxXDepth  int  // worst X-propagation depth reaching any function's driver
-	Compiled   bool // fast path (64-lane dual-rail) vs interpreted oracle
+	Units      int  `json:"units"`      // verifiable controllers
+	Skipped    int  `json:"skipped"`    // hand-library circuits without burst provenance
+	Functions  int  `json:"functions"`  // outputs + y* bits across all units
+	Bursts     int  `json:"bursts"`     // specified transitions verified
+	Unverified int  `json:"unverified"` // transitions skipped (undriven/missing function nets)
+	Passes     int  `json:"passes"`     // ternary evaluation passes
+	MaxXDepth  int  `json:"maxXDepth"`  // worst X-propagation depth reaching any function's driver
+	Compiled   bool `json:"compiled"`   // fast path (64-lane dual-rail) vs interpreted oracle
 }
 
 // String renders the one-line report used by the HZ200 info

@@ -12,13 +12,13 @@ import (
 // proxy for speed (depth). All of it is computed from the netlist
 // alone — no simulation.
 type Stats struct {
-	Cells       int     // placed instances
-	Nets        int     // declared nets
-	Literals    int     // total input pins (literal-weighted area)
-	Transistors int     // transistor-weighted area (static CMOS estimate)
-	Area        float64 // library area sum, µm²
-	Depth       int     // longest register-free path, in gates
-	Critical    float64 // longest register-free path, in ns
+	Cells       int     `json:"cells"`       // placed instances
+	Nets        int     `json:"nets"`        // declared nets
+	Literals    int     `json:"literals"`    // total input pins (literal-weighted area)
+	Transistors int     `json:"transistors"` // transistor-weighted area (static CMOS estimate)
+	Area        float64 `json:"area"`        // library area sum, µm²
+	Depth       int     `json:"depth"`       // longest register-free path, in gates
+	Critical    float64 `json:"critical"`    // longest register-free path, in ns
 }
 
 // String renders the one-line static report used by the NL200 info

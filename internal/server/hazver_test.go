@@ -3,41 +3,40 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 
 	"balsabm/internal/api"
 	"balsabm/internal/flow"
+	"balsabm/internal/hazver"
 )
 
-// TestHazverEndpoint: POST /api/v1/hazver synthesizes the design and
-// answers the static hazard verification of the merged mapped logic:
-// every specified burst checked, zero HZ-errors on flow output, and
-// the HZ200 static report present.
+// TestHazverEndpoint: POST /api/v1/check/hazver synthesizes the design
+// and answers the static hazard verification of the merged mapped
+// logic: every specified burst checked, zero HZ-errors on flow output,
+// and the HZ200 static report present.
 func TestHazverEndpoint(t *testing.T) {
 	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
 	for _, mode := range []string{api.ModeUnopt, api.ModeOpt} {
-		res, err := c.Hazver(ctx, api.HazverRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
+		res, err := c.Check(ctx, "hazver", api.CheckRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if res.Mode != mode {
-			t.Errorf("mode %q, want %q", res.Mode, mode)
+		if res.Mode != mode || len(res.Reports) != 1 {
+			t.Fatalf("result = %+v, want one %s report", res, mode)
 		}
-		rep := res.Report
-		if rep.Circuit != "pair."+mode {
-			t.Errorf("circuit %q, want pair.%s", rep.Circuit, mode)
+		rep := res.Reports[0]
+		if rep.Unit != "pair."+mode {
+			t.Errorf("circuit %q, want pair.%s", rep.Unit, mode)
 		}
 		if rep.Errors != 0 {
-			t.Errorf("%s: flow-emitted design has %d HZ-errors: %+v", rep.Circuit, rep.Errors, rep.Diags)
+			t.Errorf("%s: flow-emitted design has %d HZ-errors: %+v", rep.Unit, rep.Errors, rep.Diags)
 		}
-		if rep.Stats.Bursts == 0 || rep.Stats.Functions == 0 {
-			t.Errorf("%s: empty verification: %+v", rep.Circuit, rep.Stats)
+		var st hazver.Stats
+		decodeStats(t, rep, &st)
+		if st.Bursts == 0 || st.Functions == 0 {
+			t.Errorf("%s: empty verification: %+v", rep.Unit, st)
 		}
 		found := false
 		for _, d := range rep.Diags {
@@ -46,68 +45,26 @@ func TestHazverEndpoint(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("%s: missing HZ200 static report: %+v", rep.Circuit, rep.Diags)
+			t.Errorf("%s: missing HZ200 static report: %+v", rep.Unit, rep.Diags)
 		}
 	}
 }
 
 // TestHazverEndpointByteIdentity: the raw response body must be
-// byte-identical to api.Encode(RunHazver(...)) — the same bytes
+// byte-identical to api.Encode(RunCheck(...)) — the same bytes
 // `balsabm hazver -json` prints locally.
 func TestHazverEndpointByteIdentity(t *testing.T) {
 	_, hs, _ := newTestServer(t, Config{Workers: 1})
-	req := api.HazverRequest{Source: netlintTestSource, Name: "pair", Mode: api.ModeUnopt}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := hs.Client().Post(hs.URL+"/api/v1/hazver", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, remote)
-	}
-	res, err := RunHazver(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := api.Encode(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(remote, local) {
-		t.Errorf("server and local bytes differ:\n--- server ---\n%s--- local ---\n%s", remote, local)
-	}
+	assertCheckByteIdentity(t, hs, "hazver", api.CheckRequest{Source: netlintTestSource, Name: "pair", Mode: api.ModeUnopt})
 }
 
 // TestHazverEndpointRejects: unknown body fields, unparsable sources
 // and unknown modes answer 400 with an error body.
 func TestHazverEndpointRejects(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-
-	resp, err := hs.Client().Post(hs.URL+"/api/v1/hazver", "application/json",
-		bytes.NewReader([]byte(`{"bogus":1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
-	}
-
-	if _, err := c.Hazver(ctx, api.HazverRequest{Source: "(not a design"}); err == nil {
-		t.Error("unparsable source accepted")
-	}
-	if _, err := c.Hazver(ctx, api.HazverRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
-		t.Error("unknown mode accepted")
-	}
+	assertCheckRejects(t, hs, c, "hazver",
+		api.CheckRequest{Source: "(not a design"},
+		api.CheckRequest{Source: netlintTestSource, Mode: "fastest"})
 }
 
 // TestHazverMetricsCounters: a completed synth job feeds the per-code
@@ -115,39 +72,20 @@ func TestHazverEndpointRejects(t *testing.T) {
 // text export, and the synth result carries the hazver report.
 func TestHazverMetricsCounters(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-
-	res, err := c.Run(ctx, api.JobRequest{Kind: api.KindSynth, Source: netlintTestSource, Mode: api.ModeUnopt})
+	res, err := c.Run(context.Background(), api.JobRequest{Kind: api.KindSynth, Source: netlintTestSource, Mode: api.ModeUnopt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Synth == nil || res.Synth.Hazver == nil {
 		t.Fatal("synth result lacks the hazver report")
 	}
-	if res.Synth.Hazver.Errors != 0 || res.Synth.Hazver.Stats.Bursts == 0 {
+	var st hazver.Stats
+	decodeStats(t, *res.Synth.Hazver, &st)
+	if res.Synth.Hazver.Errors != 0 || st.Bursts == 0 {
 		t.Errorf("synth hazver report unexpected: %+v", res.Synth.Hazver)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The post-mapping gate always records its HZ200 static report.
-	if m.HazverDiags["HZ200"] == 0 {
-		t.Fatalf("hazver diag counters missing HZ200: %+v", m.HazverDiags)
-	}
-
-	resp, err := hs.Client().Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), `balsabmd_hazver_diags_total{code="HZ200"}`) {
-		t.Errorf("/metrics lacks the hazver counter:\n%s", text)
-	}
+	assertDiagCounter(t, hs, c, "hazver", "HZ200")
 }
 
 // incrRenamed is incrBase with every component and wire renamed but
@@ -195,7 +133,12 @@ func TestSynthHazverWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Synth.Hazver == nil || res.Synth.Hazver.Stats.Bursts == 0 {
+		if res.Synth.Hazver == nil {
+			t.Fatalf("%s warm job: no hazver report", mode)
+		}
+		var hz hazver.Stats
+		decodeStats(t, *res.Synth.Hazver, &hz)
+		if hz.Bursts == 0 {
 			t.Fatalf("%s warm job: empty hazver report %+v", mode, res.Synth.Hazver)
 		}
 		got, err := api.Encode(res.Synth.Hazver)

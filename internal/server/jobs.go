@@ -7,13 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
 
 	"balsabm/internal/api"
 	"balsabm/internal/balsa"
-	"balsabm/internal/bmlint"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
@@ -175,19 +175,11 @@ type Manager struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int64
-	// netlintDiags counts netlist diagnostics by NLxxx code across
-	// every executed job: the findings its netlint gates recorded plus
-	// the error findings of gates that failed the job. Exported as
-	// balsabmd_netlint_diags_total{code=...}.
-	netlintDiags map[string]int64
-	// bmlintDiags is the same per-code tally one tier up: Burst-Mode
-	// spec diagnostics (BMxxx) from the post-compile bmlint gates.
-	// Exported as balsabmd_bmlint_diags_total{code=...}.
-	bmlintDiags map[string]int64
-	// hazverDiags tallies static hazard-verification diagnostics
-	// (HZxxx) from the post-mapping hazver gates. Exported as
-	// balsabmd_hazver_diags_total{code=...}.
-	hazverDiags map[string]int64
+	// diags counts gate diagnostics by checker, then code, across every
+	// executed job: the findings its gates recorded plus the error
+	// findings of a gate that failed the job. Exported as
+	// balsabmd_diags_total{checker=...,code=...}.
+	diags map[string]map[string]int64
 
 	dedupHits   parallel.Counter
 	dedupMisses parallel.Counter
@@ -224,14 +216,12 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:          cfg,
-		ctx:          ctx,
-		cancel:       cancel,
-		store:        cfg.Store,
-		jobs:         map[string]*Job{},
-		netlintDiags: map[string]int64{},
-		bmlintDiags:  map[string]int64{},
-		hazverDiags:  map[string]int64{},
+		cfg:    cfg,
+		ctx:    ctx,
+		cancel: cancel,
+		store:  cfg.Store,
+		jobs:   map[string]*Job{},
+		diags:  map[string]map[string]int64{},
 	}
 	if cfg.Store != nil {
 		m.ctl = cfg.Store
@@ -321,7 +311,7 @@ func (m *Manager) Submit(req api.JobRequest) (*Job, error) {
 
 // hookJob forwards a job's stage completions to its progress stream
 // (folding them into the daemon-wide stage totals) and streams its
-// lint-gate findings. Shared by Submit and the boot-time replay.
+// gates' findings. Shared by Submit and the boot-time replay.
 func (m *Manager) hookJob(j *Job) {
 	j.met.Timings.Notify(func(stage string, d time.Duration, s parallel.Stage) {
 		m.aggTimings.Observe(stage, d)
@@ -332,28 +322,12 @@ func (m *Manager) hookJob(j *Job) {
 			TotalMicros: s.Total.Microseconds(),
 		})
 	})
-	// Stream the lint gate's non-error findings as they are recorded.
-	j.met.NotifyLint(func(f flow.LintFinding) {
+	// Stream the gates' non-error findings as they are recorded, tagged
+	// with checker and unit.
+	j.met.NotifyFindings(func(f flow.Finding) {
 		d := api.FromDiag(f.Diag)
-		j.events.publish(api.Event{Type: "lint", Lint: &d})
-	})
-	// And the netlint gate's, tagged with the audited circuit.
-	j.met.NotifyNetlint(func(f flow.NetlintFinding) {
-		d := api.FromNetlintDiag(f.Diag)
-		d.Circuit = f.Circuit()
-		j.events.publish(api.Event{Type: "lint", Netlint: &d})
-	})
-	// And the bmlint gate's, tagged with the audited spec.
-	j.met.NotifyBmlint(func(f flow.BmlintFinding) {
-		d := api.FromBmlintDiag(f.Diag)
-		d.Spec = f.Unit()
-		j.events.publish(api.Event{Type: "lint", Bmlint: &d})
-	})
-	// And the hazver gate's, tagged with the verified circuit.
-	j.met.NotifyHazver(func(f flow.HazverFinding) {
-		d := api.FromHazverDiag(f.Diag)
-		d.Circuit = f.Circuit()
-		j.events.publish(api.Event{Type: "lint", Hazver: &d})
+		d.Checker, d.Unit = f.Checker.Name, f.Unit
+		j.events.publish(api.Event{Type: "lint", Diag: &d})
 	})
 }
 
@@ -475,9 +449,7 @@ func (m *Manager) run(j *Job) {
 		m.ckptLoads.Add(j.met.CheckpointLoads.Load())
 		m.ctlReused.Add(j.met.ControllersReused.Load())
 		m.ctlResynth.Add(j.met.ControllersResynthesized.Load())
-		m.countNetlint(j.met.NetlintFindings(), err)
-		m.countBmlint(j.met.BmlintFindings(), err)
-		m.countHazver(j.met.HazverFindings(), err)
+		m.countDiags(j.met.Findings(), err)
 	}
 	switch {
 	case err == nil:
@@ -533,65 +505,26 @@ func (m *Manager) finish(j *Job, state string, res *api.JobResult, err error) {
 	j.cancel()
 }
 
-// countNetlint folds one executed job's netlist diagnostics into the
-// daemon-wide per-code counters: the non-error findings its netlint
-// gates recorded, plus the error findings when the gate failed the
+// countDiags folds one executed job's gate diagnostics into the
+// daemon-wide per-checker, per-code counters: the non-error findings
+// its gates recorded, plus the error findings when a gate failed the
 // job.
-func (m *Manager) countNetlint(fs []flow.NetlintFinding, err error) {
-	var ne *flow.NetlintError
-	if len(fs) == 0 && !errors.As(err, &ne) {
-		return
-	}
+func (m *Manager) countDiags(fs []flow.Finding, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, f := range fs {
-		m.netlintDiags[f.Diag.Code]++
-	}
-	if ne != nil {
-		for _, d := range ne.Diags {
-			m.netlintDiags[d.Code]++
+	bump := func(c flow.Checker, code string) {
+		if m.diags[c.Name] == nil {
+			m.diags[c.Name] = map[string]int64{}
 		}
+		m.diags[c.Name][code]++
 	}
-}
-
-// countBmlint folds one executed job's Burst-Mode spec diagnostics
-// into the daemon-wide per-code counters: the non-error findings its
-// bmlint gates recorded, plus the error findings when the gate failed
-// the job.
-func (m *Manager) countBmlint(fs []flow.BmlintFinding, err error) {
-	var be *flow.BmlintError
-	if len(fs) == 0 && !errors.As(err, &be) {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, f := range fs {
-		m.bmlintDiags[f.Diag.Code]++
+		bump(f.Checker, f.Diag.Code)
 	}
-	if be != nil {
-		for _, d := range be.Diags {
-			m.bmlintDiags[d.Code]++
-		}
-	}
-}
-
-// countHazver folds one executed job's static hazard-verification
-// diagnostics into the daemon-wide per-code counters: the non-error
-// findings its hazver gates recorded, plus the error findings when the
-// gate failed the job.
-func (m *Manager) countHazver(fs []flow.HazverFinding, err error) {
-	var he *flow.HazverError
-	if len(fs) == 0 && !errors.As(err, &he) {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range fs {
-		m.hazverDiags[f.Diag.Code]++
-	}
-	if he != nil {
-		for _, d := range he.Diags {
-			m.hazverDiags[d.Code]++
+	var ge *flow.GateError
+	if errors.As(err, &ge) {
+		for _, d := range ge.Diags {
+			bump(ge.Checker, d.Code)
 		}
 	}
 }
@@ -638,22 +571,10 @@ func (m *Manager) Metrics() *api.MetricsJSON {
 		out.Stages[name] = api.StageJSON{Count: s.Count, TotalMicros: s.Total.Microseconds()}
 	}
 	m.mu.Lock()
-	if len(m.netlintDiags) > 0 {
-		out.NetlintDiags = make(map[string]int64, len(m.netlintDiags))
-		for code, n := range m.netlintDiags {
-			out.NetlintDiags[code] = n
-		}
-	}
-	if len(m.bmlintDiags) > 0 {
-		out.BmlintDiags = make(map[string]int64, len(m.bmlintDiags))
-		for code, n := range m.bmlintDiags {
-			out.BmlintDiags[code] = n
-		}
-	}
-	if len(m.hazverDiags) > 0 {
-		out.HazverDiags = make(map[string]int64, len(m.hazverDiags))
-		for code, n := range m.hazverDiags {
-			out.HazverDiags[code] = n
+	if len(m.diags) > 0 {
+		out.Diags = make(map[string]map[string]int64, len(m.diags))
+		for checker, codes := range m.diags {
+			out.Diags[checker] = maps.Clone(codes)
 		}
 	}
 	m.mu.Unlock()
@@ -684,14 +605,27 @@ func netlistKey(n *core.Netlist) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// resultFormat tags every job key with the wire schema of the results
+// stored under it, so a data directory written under an older schema
+// never answers a new submission from disk. Change it whenever the
+// encoding of api.JobResult changes.
+const resultFormat = "results=2"
+
 // prepare validates a request and returns its executor closure and
-// dedup key. All parsing happens here, at submission time, so a
+// dedup key, tagged with resultFormat.
+func prepare(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.CheckpointSink, flow.ControllerCache) (*api.JobResult, error), string, error) {
+	exec, key, err := prepareKind(req)
+	return exec, resultFormat + "|" + key, err
+}
+
+// prepareKind validates a request and returns its executor closure and
+// untagged dedup key. All parsing happens here, at submission time, so a
 // malformed request fails synchronously with a 400-class error. The
 // executor receives the job's checkpoint sink (nil without a store)
 // and the manager's controller cache (incremental resynthesis tier)
 // and threads both into the flow, so long runs persist each completed
 // stage and unchanged controllers splice in instead of recomputing.
-func prepare(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.CheckpointSink, flow.ControllerCache) (*api.JobResult, error), string, error) {
+func prepareKind(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.CheckpointSink, flow.ControllerCache) (*api.JobResult, error), string, error) {
 	cfgKey := req.Config.Key()
 	switch req.Kind {
 	case api.KindDesign:
@@ -731,12 +665,9 @@ func prepare(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.Chec
 		if err != nil {
 			return nil, "", err
 		}
-		mode := req.Mode
-		if mode == "" {
-			mode = api.ModeOpt
-		}
-		if mode != api.ModeOpt && mode != api.ModeUnopt {
-			return nil, "", fmt.Errorf("server: unknown mode %q", req.Mode)
+		mode, err := armMode(req.Mode, api.ModeOpt)
+		if err != nil {
+			return nil, "", err
 		}
 		key := fmt.Sprintf("synth|%s|%s|%s", mode, cfgKey, netlistKey(n))
 		exec := func(ctx context.Context, met *flow.Metrics, ck flow.CheckpointSink, ctl flow.ControllerCache) (*api.JobResult, error) {
@@ -840,7 +771,7 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 	if err != nil {
 		return nil, err
 	}
-	rep := api.NetlintReport(nlres)
+	rep := api.CheckReport(nlres.Name, nlres.Stats, nlres.Diags)
 	out.Netlint = &rep
 	// Post-mapping hazver gate, mirroring the flow's runDesign: a
 	// statically detectable hazard on a specified burst fails the job;
@@ -850,7 +781,7 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 	if err != nil {
 		return nil, err
 	}
-	hz := api.HazverReport(hzres)
+	hz := api.CheckReport(hzres.Name, hzres.Stats, hzres.Diags)
 	out.Hazver = &hz
 	for i, nl := range mapped {
 		out.Controllers = append(out.Controllers, api.SynthControllerJSON{
@@ -872,118 +803,9 @@ func RunSynth(ctx context.Context, req api.JobRequest, met *flow.Metrics, ctl fl
 	if err != nil {
 		return nil, err
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
+	mode, err := armMode(req.Mode, api.ModeOpt)
+	if err != nil {
+		return nil, err
 	}
 	return runSynth(ctx, n, mode, req.Config, met, nil, ctl)
-}
-
-// RunNetlint synthesizes a submitted
-// design without simulation and audit every mapped controller plus the
-// merged circuit. Unlike the job-queue gate, error findings do not
-// fail the request — the report is the product.
-func RunNetlint(ctx context.Context, req api.NetlintRequest) (*api.NetlintResultJSON, error) {
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
-	}
-	name := req.Name
-	if name == "" {
-		name = "design"
-	}
-	tmMode := techmap.AreaShared
-	if mode == api.ModeOpt {
-		tmMode = techmap.SpeedSplit
-		n, _, err = core.OptimizeOpt(n, core.Options{
-			MaxStates: req.Config.MaxStates, Workers: req.Config.Workers, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctrls, merged, err := flow.NetlintNetlist(ctx, name, mode, n, tmMode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.NetlintResult(mode, ctrls, merged), nil
-}
-
-// RunHazver synthesizes a submitted design without simulation, maps
-// each distinct controller shape in the requested arm's mode, and
-// statically verifies the mapped logic hazard-free on every specified
-// burst by two-pass ternary evaluation. Unlike the job-queue gate,
-// error findings do not fail the request — the report is the product.
-// Both the POST /api/v1/hazver handler and the local `balsabm hazver`
-// path call this one function, so the two answer byte-identical
-// reports.
-func RunHazver(ctx context.Context, req api.HazverRequest) (*api.HazverResultJSON, error) {
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
-	}
-	name := req.Name
-	if name == "" {
-		name = "design"
-	}
-	tmMode := techmap.AreaShared
-	if mode == api.ModeOpt {
-		tmMode = techmap.SpeedSplit
-		n, _, err = core.OptimizeOpt(n, core.Options{
-			MaxStates: req.Config.MaxStates, Workers: req.Config.Workers, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := flow.HazverNetlist(ctx, name, mode, n, tmMode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.HazverResult(mode, res), nil
-}
-
-// RunBmlint compiles a submitted design's components to Burst-Mode
-// specifications and audits each with bmlint — or, for Format "bms",
-// lints a single spec directly. Unlike the job-queue gate, error
-// findings do not fail the request: the report is the product. Both
-// the POST /api/v1/bmlint handler and the local `balsabm bmlint` path
-// call this one function, so the two answer byte-identical reports.
-func RunBmlint(ctx context.Context, req api.BmlintRequest) (*api.BmlintResultJSON, error) {
-	if req.Format == api.FormatBMS {
-		if strings.TrimSpace(req.Source) == "" {
-			return nil, fmt.Errorf("server: bmlint request has empty source")
-		}
-		res := bmlint.LintSource(req.Source)
-		if res.Name == "" {
-			res.Name = req.Name
-		}
-		return api.BmlintResult([]bmlint.Result{res}), nil
-	}
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	specs, err := flow.BmlintNetlist(n)
-	if err != nil {
-		return nil, err
-	}
-	return api.BmlintResult(specs), nil
 }

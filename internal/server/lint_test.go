@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -17,9 +18,9 @@ import (
 )
 
 // TestLintEndpointByteIdentity: for every examples/lint corpus file,
-// the raw POST /api/v1/lint response body must be byte-identical to
-// what `balsabm lint -json <file>` prints — both are
-// api.Encode(api.LintResult(file, LintSource(src))).
+// the raw POST /api/v1/check/chlint response body must be
+// byte-identical to what `balsabm lint -json <file>` prints — both are
+// api.Encode(RunCheck("chlint", ...)).
 func TestLintEndpointByteIdentity(t *testing.T) {
 	_, hs, _ := newTestServer(t, Config{Workers: 1})
 	files, err := filepath.Glob("../../examples/lint/*.ch")
@@ -31,64 +32,37 @@ func TestLintEndpointByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(api.LintRequest{Source: string(src), File: file})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := hs.Client().Post(hs.URL+"/api/v1/lint", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d: %s", filepath.Base(file), resp.StatusCode, remote)
-		}
-		local, err := api.Encode(api.LintResult(file, analysis.LintSource(string(src))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(remote, local) {
-			t.Errorf("%s: server and CLI bytes differ:\n--- server ---\n%s--- cli ---\n%s",
-				filepath.Base(file), remote, local)
-		}
+		assertCheckByteIdentity(t, hs, "chlint", api.CheckRequest{Source: string(src), File: file})
 	}
 }
 
 // TestLintEndpointCounts: the acceptance-criterion program (three
 // Table 1 violations) answers three errors with positions over the
-// wire.
+// wire, rendering exactly as the analyzer renders them.
 func TestLintEndpointCounts(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
 	src, err := os.ReadFile("../../examples/lint/table1.ch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Lint(context.Background(), api.LintRequest{Source: string(src), File: "table1.ch"})
+	res, err := c.Check(context.Background(), "chlint", api.CheckRequest{Source: string(src), File: "table1.ch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 3 || len(res.Diags) != 3 {
-		t.Fatalf("want 3 errors, got %d (%d diags)", res.Errors, len(res.Diags))
+	if res.Errors() != 3 || len(res.Reports) != 1 || len(res.Reports[0].Diags) != 3 {
+		t.Fatalf("want 3 errors in one report, got %d: %+v", res.Errors(), res.Reports)
 	}
+	rep := res.Reports[0]
 	wantLines := []int{5, 6, 7}
-	for i, d := range res.Diags {
-		if d.Code != "CH001" || d.Line != wantLines[i] || d.Col != 3 {
-			t.Errorf("diag %d: %s at %d:%d, want CH001 at %d:3", i, d.Code, d.Line, d.Col, wantLines[i])
+	for i, d := range rep.Diags {
+		if d.Code != "CH001" || d.Key != [2]int{wantLines[i], 3} || d.Loc != fmt.Sprintf("%d:3", wantLines[i]) || !d.Tight {
+			t.Errorf("diag %d: %s at %q key %v, want CH001 at %d:3", i, d.Code, d.Loc, d.Key, wantLines[i])
 		}
 	}
-	// Malformed body: 400.
-	resp, err := hs.Client().Post(hs.URL+"/api/v1/lint", "application/json", bytes.NewReader([]byte(`{"bogus":1}`)))
-	if err != nil {
-		t.Fatal(err)
+	if got := rep.Format(); got != analysis.Format(analysis.LintSource(string(src)), "table1.ch") {
+		t.Errorf("wire rendering differs from the analyzer's:\n%s", got)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
-	}
+	assertCheckRejects(t, hs, c, "chlint")
 }
 
 // TestSynthJobLintGate: a synth job whose netlist fails lint must fail
@@ -153,10 +127,7 @@ func TestLintWarningsStreamAsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lints []api.DiagJSON
-	var netlints []api.NetlintDiagJSON
-	var bmlints []api.BmlintDiagJSON
-	var hazvers []api.HazverDiagJSON
+	byChecker := map[string][]api.DiagJSON{}
 	for _, line := range strings.Split(string(body), "\n") {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
@@ -166,25 +137,18 @@ func TestLintWarningsStreamAsEvents(t *testing.T) {
 			t.Fatalf("bad event %q: %v", line, err)
 		}
 		if ev.Type == "lint" {
-			switch {
-			case ev.Lint != nil:
-				lints = append(lints, *ev.Lint)
-			case ev.Netlint != nil:
-				netlints = append(netlints, *ev.Netlint)
-			case ev.Bmlint != nil:
-				bmlints = append(bmlints, *ev.Bmlint)
-			case ev.Hazver != nil:
-				hazvers = append(hazvers, *ev.Hazver)
-			default:
+			if ev.Diag == nil {
 				t.Fatalf("lint event without payload: %+v", ev)
 			}
+			byChecker[ev.Diag.Checker] = append(byChecker[ev.Diag.Checker], *ev.Diag)
 		}
 	}
+	lints, netlints, bmlints, hazvers := byChecker["chlint"], byChecker["netlint"], byChecker["bmlint"], byChecker["hazver"]
 	if len(lints) != 2 {
 		t.Fatalf("want 2 lint events (CH013 per component), got %d: %+v", len(lints), lints)
 	}
 	for _, d := range lints {
-		if d.Code != "CH013" || d.Severity != "warning" {
+		if d.Code != "CH013" || d.Severity != "warning" || d.Unit != "submitted" {
 			t.Errorf("unexpected lint event %+v", d)
 		}
 	}
@@ -193,7 +157,7 @@ func TestLintWarningsStreamAsEvents(t *testing.T) {
 	// circuit must have arrived, tagged with the audited circuit.
 	found := false
 	for _, d := range netlints {
-		if d.Code == "NL200" && d.Circuit == "synth.unopt" {
+		if d.Code == "NL200" && d.Unit == "synth.unopt" {
 			found = true
 		}
 	}
@@ -206,7 +170,7 @@ func TestLintWarningsStreamAsEvents(t *testing.T) {
 	for _, spec := range []string{"synth.unopt.a", "synth.unopt.b"} {
 		found := false
 		for _, d := range bmlints {
-			if d.Code == "BM200" && d.Spec == spec {
+			if d.Code == "BM200" && d.Unit == spec {
 				found = true
 			}
 		}
@@ -218,7 +182,7 @@ func TestLintWarningsStreamAsEvents(t *testing.T) {
 	// HZ200 static report of the verified circuit.
 	found = false
 	for _, d := range hazvers {
-		if d.Code == "HZ200" && d.Circuit == "synth.unopt" {
+		if d.Code == "HZ200" && d.Unit == "synth.unopt" {
 			found = true
 		}
 	}

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
 	"balsabm/internal/api"
+	"balsabm/internal/netlint"
 )
 
 // A two-component design small enough to synthesize in a test but with
@@ -19,102 +16,69 @@ const netlintTestSource = `
 (program b (rep (enc-early (p-to-p passive mid) (p-to-p active done))))
 `
 
-// TestNetlintEndpoint: POST /api/v1/netlint synthesizes the design and
-// answers per-controller reports plus the merged circuit, with the
-// static area/depth block filled in and zero NL-errors on flow output.
+// TestNetlintEndpoint: POST /api/v1/check/netlint synthesizes the
+// design and answers per-controller reports followed by the merged
+// circuit's, with the static area/depth block filled in and zero
+// NL-errors on flow output.
 func TestNetlintEndpoint(t *testing.T) {
 	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
 	for _, mode := range []string{api.ModeUnopt, api.ModeOpt} {
-		res, err := c.Netlint(ctx, api.NetlintRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
+		res, err := c.Check(ctx, "netlint", api.CheckRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		if res.Mode != mode {
 			t.Errorf("mode %q, want %q", res.Mode, mode)
 		}
-		if len(res.Controllers) == 0 {
-			t.Fatalf("%s: no controller reports", mode)
+		if len(res.Reports) < 2 {
+			t.Fatalf("%s: want controller reports plus the merged circuit, got %d", mode, len(res.Reports))
 		}
-		for _, rep := range res.Controllers {
-			if !strings.HasPrefix(rep.Circuit, "pair."+mode+".") {
-				t.Errorf("controller circuit %q lacks the pair.%s. prefix", rep.Circuit, mode)
+		last := len(res.Reports) - 1
+		for _, rep := range res.Reports[:last] {
+			if !strings.HasPrefix(rep.Unit, "pair."+mode+".") {
+				t.Errorf("controller circuit %q lacks the pair.%s. prefix", rep.Unit, mode)
 			}
 			if rep.Errors != 0 {
-				t.Errorf("%s: flow-emitted controller has %d NL-errors: %+v", rep.Circuit, rep.Errors, rep.Diags)
+				t.Errorf("%s: flow-emitted controller has %d NL-errors: %+v", rep.Unit, rep.Errors, rep.Diags)
 			}
 		}
-		m := res.Merged
-		if m.Circuit != "pair."+mode {
-			t.Errorf("merged circuit %q, want pair.%s", m.Circuit, mode)
+		m := res.Reports[last]
+		if m.Unit != "pair."+mode {
+			t.Errorf("merged circuit %q, want pair.%s", m.Unit, mode)
 		}
 		if m.Errors != 0 {
 			t.Errorf("merged circuit has %d NL-errors: %+v", m.Errors, m.Diags)
 		}
-		if m.Static.Cells == 0 || m.Static.Area <= 0 {
-			t.Errorf("merged static report missing or empty: %+v", m.Static)
+		var st netlint.Stats
+		decodeStats(t, m, &st)
+		if st.Cells == 0 || st.Area <= 0 {
+			t.Errorf("merged static report missing or empty: %+v", st)
 		}
+	}
+	// Without a mode the optimized arm is checked.
+	res, err := c.Check(ctx, "netlint", api.CheckRequest{Source: netlintTestSource, Name: "pair"})
+	if err != nil || res.Mode != api.ModeOpt {
+		t.Errorf("default arm: %v %+v", err, res)
 	}
 }
 
 // TestNetlintEndpointByteIdentity: the raw response body must be
-// byte-identical to api.Encode(RunNetlint(...)) — the same bytes
+// byte-identical to api.Encode(RunCheck(...)) — the same bytes
 // `balsabm netlint -json` prints locally.
 func TestNetlintEndpointByteIdentity(t *testing.T) {
 	_, hs, _ := newTestServer(t, Config{Workers: 1})
-	req := api.NetlintRequest{Source: netlintTestSource, Name: "pair", Mode: api.ModeUnopt}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := hs.Client().Post(hs.URL+"/api/v1/netlint", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, remote)
-	}
-	res, err := RunNetlint(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := api.Encode(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(remote, local) {
-		t.Errorf("server and local bytes differ:\n--- server ---\n%s--- local ---\n%s", remote, local)
-	}
+	assertCheckByteIdentity(t, hs, "netlint", api.CheckRequest{Source: netlintTestSource, Name: "pair", Mode: api.ModeUnopt})
 }
 
 // TestNetlintEndpointRejects: unknown body fields, unparsable sources
 // and unknown modes answer 400 with an error body.
 func TestNetlintEndpointRejects(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-
-	resp, err := hs.Client().Post(hs.URL+"/api/v1/netlint", "application/json",
-		bytes.NewReader([]byte(`{"bogus":1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
-	}
-
-	if _, err := c.Netlint(ctx, api.NetlintRequest{Source: "(not a design"}); err == nil {
-		t.Error("unparsable source accepted")
-	}
-	if _, err := c.Netlint(ctx, api.NetlintRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
-		t.Error("unknown mode accepted")
-	}
+	assertCheckRejects(t, hs, c, "netlint",
+		api.CheckRequest{Source: "(not a design"},
+		api.CheckRequest{Source: netlintTestSource, Mode: "fastest"})
 }
 
 // TestNetlintMetricsCounters: a completed synth job feeds the per-code
@@ -122,30 +86,9 @@ func TestNetlintEndpointRejects(t *testing.T) {
 // Prometheus text export.
 func TestNetlintMetricsCounters(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-
-	if _, err := c.Run(ctx, api.JobRequest{Kind: api.KindSynth, Source: netlintTestSource, Mode: api.ModeUnopt}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
+	if _, err := c.Run(context.Background(), api.JobRequest{Kind: api.KindSynth, Source: netlintTestSource, Mode: api.ModeUnopt}); err != nil {
 		t.Fatal(err)
 	}
 	// The merged-circuit gate always records its NL200 static report.
-	if m.NetlintDiags["NL200"] == 0 {
-		t.Fatalf("netlint diag counters missing NL200: %+v", m.NetlintDiags)
-	}
-
-	resp, err := hs.Client().Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), `balsabmd_netlint_diags_total{code="NL200"}`) {
-		t.Errorf("/metrics lacks the netlint counter:\n%s", text)
-	}
+	assertDiagCounter(t, hs, c, "netlint", "NL200")
 }

@@ -364,3 +364,51 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 		t.Fatalf("cluster ran %d times, want 0 (restored from checkpoint)", s.Count)
 	}
 }
+
+// TestResultFormatTagMissesOldStore: a data directory written under an
+// older result schema holds its results under untagged job keys. A new
+// submission of the same request must miss the disk tier and compute
+// afresh, never answer with the old-schema bytes — and the old store
+// must still open.
+func TestResultFormatTagMissesOldStore(t *testing.T) {
+	req := api.JobRequest{Kind: api.KindSynth, Source: oneSequencer, Mode: api.ModeUnopt}
+	n, err := parseSource(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The key layout before results carried a format tag.
+	untagged := fmt.Sprintf("synth|%s|%s|%s", api.ModeUnopt, req.Config.Key(), netlistKey(n))
+	stale := []byte(`{"kind":"synth","synth":{"mode":"unopt","controllers":[],` +
+		`"netlint":{"circuit":"synth.unopt","static":{},"diags":[],"errors":0,"warnings":0,"infos":0}}}` + "\n")
+
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.PutResult(untagged, stale); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Workers: 1, Store: st})
+	defer m.Close()
+
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if j.Key == untagged || !bytes.HasPrefix([]byte(j.Key), []byte(resultFormat+"|")) {
+		t.Fatalf("job key %q is not tagged with %q", j.Key, resultFormat)
+	}
+	if st := j.Status(); st.State != api.StateDone || st.Disk {
+		t.Fatalf("job status %+v: want a fresh, non-disk result", st)
+	}
+	met := m.Metrics()
+	if met.StoreDiskHits != 0 || met.StoreMisses != 1 {
+		t.Errorf("disk hits %d, misses %d: want the old-schema blob ignored", met.StoreDiskHits, met.StoreMisses)
+	}
+	res := j.Result()
+	if res == nil || res.Synth == nil || len(res.Synth.Controllers) == 0 || res.Synth.Netlint.Unit != "synth.unopt" {
+		t.Errorf("result is not a fresh synthesis: %+v", res)
+	}
+}

@@ -15,19 +15,10 @@
 //	DELETE /api/v1/jobs/{id}        cancel the job
 //	GET    /api/v1/jobs/{id}/result the JobResult (202 while running)
 //	GET    /api/v1/jobs/{id}/events live progress stream (SSE)
-//	POST   /api/v1/lint             run the chlint analyzer on CH source,
-//	                                synchronously; body is a LintRequest
-//	POST   /api/v1/bmlint           compile a design's Burst-Mode specs (or
-//	                                lint one .bms spec) and answer the
-//	                                bmlint audit per spec
-//	POST   /api/v1/netlint          synthesize a design (no simulation) and
-//	                                run the netlint structural audit on every
-//	                                mapped controller plus the merged
-//	                                circuit; body is a NetlintRequest
-//	POST   /api/v1/hazver           synthesize a design (no simulation) and
-//	                                statically verify every controller's
-//	                                mapped logic hazard-free on its specified
-//	                                bursts; body is a HazverRequest
+//	POST   /api/v1/check/{checker}  run one registered checker (chlint,
+//	                                bmlint, netlint, hazver) synchronously,
+//	                                no job queue; body is a CheckRequest,
+//	                                answer a CheckResultJSON
 //	GET    /api/v1/designs          built-in benchmark design names
 //	GET    /api/v1/metrics          daemon counters as JSON
 //	GET    /metrics                 same counters, Prometheus text format
@@ -41,7 +32,6 @@ import (
 	"net/http"
 	"time"
 
-	"balsabm/internal/analysis"
 	"balsabm/internal/api"
 	"balsabm/internal/designs"
 )
@@ -61,10 +51,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("POST /api/v1/lint", s.handleLint)
-	s.mux.HandleFunc("POST /api/v1/bmlint", s.handleBmlint)
-	s.mux.HandleFunc("POST /api/v1/netlint", s.handleNetlint)
-	s.mux.HandleFunc("POST /api/v1/hazver", s.handleHazver)
+	s.mux.HandleFunc("POST /api/v1/check/{checker}", s.handleCheck)
 	s.mux.HandleFunc("GET /api/v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetricsJSON)
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsText)
@@ -106,12 +93,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorJSON{Error: err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
+// decodeRequest strictly decodes a request body into v, answering 400
+// itself on failure.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req api.JobRequest
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	j, err := s.mgr.Submit(req)
@@ -248,84 +244,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLint runs the chlint analyzer synchronously — no job queue;
-// lint is cheap. The response body is api.Encode(api.LintResult(...)),
-// the same struct and encoder `balsabm lint -json` prints, so the two
-// surfaces answer byte-identical diagnostics for the same source.
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	var req api.LintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.LintResult(req.File, analysis.LintSource(req.Source)))
-}
-
-// handleBmlint compiles a submitted design's Burst-Mode specs (or
-// lints one .bms spec) synchronously — no job queue; compiling specs
-// is cheap. The body is api.Encode(api.BmlintResult(...)), the same
-// struct and encoder `balsabm bmlint -json` prints, so the two
-// surfaces answer byte-identical reports for the same source.
+// handleCheck runs one registered checker synchronously — no job
+// queue. The body is api.Encode(RunCheck(...)), the same call and
+// encoder the CLI's checker subcommands print under -json, so the two
+// surfaces answer byte-identical reports for the same request.
 // Error-severity findings are reported, not failed: this endpoint
-// exists to look at them.
-func (s *Server) handleBmlint(w http.ResponseWriter, r *http.Request) {
-	var req api.BmlintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+// exists to look at them. An unknown checker answers 404.
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	var req api.CheckRequest
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	res, err := RunBmlint(r.Context(), req)
+	res, err := RunCheck(r.Context(), r.PathValue("checker"), req, nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleNetlint synthesizes a submitted design synchronously (no
-// simulation, no job queue) and answers its netlint audit. The body is
-// api.Encode(api.NetlintResult(...)), the same struct and encoder
-// `balsabm netlint -json` prints, so the two surfaces answer
-// byte-identical reports for the same source. Error-severity findings
-// are reported, not failed: this endpoint exists to look at them.
-func (s *Server) handleNetlint(w http.ResponseWriter, r *http.Request) {
-	var req api.NetlintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := RunNetlint(r.Context(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleHazver synthesizes a submitted design synchronously (no
-// simulation, no job queue) and answers its static hazard
-// verification. The body is api.Encode(api.HazverResult(...)), the
-// same struct and encoder `balsabm hazver -json` prints, so the two
-// surfaces answer byte-identical reports for the same source.
-// Error-severity findings are reported, not failed: this endpoint
-// exists to look at them.
-func (s *Server) handleHazver(w http.ResponseWriter, r *http.Request) {
-	var req api.HazverRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := RunHazver(r.Context(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errUnknownChecker) {
+			code = http.StatusNotFound
+		}
+		writeError(w, code, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
