@@ -13,6 +13,7 @@
 //	BenchmarkVerifyAllPairs    — Section 4.3 conformance experiment
 //	BenchmarkTable3_*          — the four design flows (speed/area)
 //	BenchmarkSynthesize*       — Minimalist-substitute ablations
+//	BenchmarkSimSSEM           — event-driven simulation kernel alone
 package balsabm
 
 import (
@@ -21,6 +22,10 @@ import (
 
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
+	"balsabm/internal/designs"
+	"balsabm/internal/dpath"
+	"balsabm/internal/flow"
+	"balsabm/internal/sim"
 	"balsabm/internal/techmap"
 )
 
@@ -288,6 +293,64 @@ func benchTable3Workers(b *testing.B, name string, workers int) {
 
 func BenchmarkTable3_SSEM_Workers1(b *testing.B)   { benchTable3Workers(b, "ssem", 1) }
 func BenchmarkTable3_SSEM_WorkersMax(b *testing.B) { benchTable3Workers(b, "ssem", 0) }
+
+// BenchmarkSimSSEM times the event-driven simulation kernel alone: the
+// SSEM core's optimized arm runs a 300-iteration countdown program on
+// controller netlists synthesized once, outside the timer. Each op
+// builds the simulator, the behavioral datapath and the testbench, and
+// runs the program to HLT; events/s is applied net changes per second.
+func BenchmarkSimSSEM(b *testing.B) {
+	d := designs.SSEMWithProgram("ssem-countdown", []uint64{
+		designs.Encode(designs.OpLDI, 300),
+		designs.Encode(designs.OpADDI, 0x1FFF), // acc -= 1
+		designs.Encode(designs.OpSTO, 28),
+		designs.Encode(designs.OpBNZ, 1),
+		designs.Encode(designs.OpHLT, 0),
+	}, "count acc 300..0", func(mem *dpath.Memory) error {
+		if mem.Words[28] != 0 {
+			return fmt.Errorf("mem[28] = %d, want 0", mem.Words[28])
+		}
+		return nil
+	})
+	opt, _, err := core.OptimizeOpt(d.Control(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapped, _, err := flow.SynthesizeNetlist(opt, techmap.SpeedSplit, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := DefaultLibrary()
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sim.New(lib)
+		for _, nl := range mapped {
+			s.AddNetlist(nl, nl.Name, nil)
+		}
+		db := dpath.NewBuilder(s)
+		d.Datapath(db)
+		bench := d.Bench(db)
+		if err := s.Init(); err != nil {
+			b.Fatal(err)
+		}
+		bench.Start()
+		for !bench.Done() {
+			if err := s.Run(5e6, 100_000_000); err != nil { // the flow's default limits
+				b.Fatal(err)
+			}
+			if !bench.Done() && s.Quiet() {
+				b.Fatalf("deadlock at %.2f ns", s.Time)
+			}
+		}
+		if err := bench.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		events += s.Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
 
 // Ablation: synthesis cost versus controller size (sequencer width).
 func BenchmarkSynthesizeSequencerWidth(b *testing.B) {

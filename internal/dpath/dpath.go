@@ -73,12 +73,28 @@ func (b *Builder) Bus(name string) *Bus {
 	return v
 }
 
-func req(ch string) string { return ch + "_r" }
-func ack(ch string) string { return ch + "_a" }
+// channel is a handshake channel's request and acknowledge nets,
+// resolved once at build time: component callbacks schedule by net id
+// and never rebuild or look up a name while the simulation runs.
+type channel struct{ r, a int }
+
+// channel interns the <name>_r/<name>_a net pair of a channel.
+func (b *Builder) channel(name string) channel {
+	return channel{r: b.S.Net(name + "_r"), a: b.S.Net(name + "_a")}
+}
+
+// channels resolves a list of channels.
+func (b *Builder) channels(names []string) []channel {
+	out := make([]channel, len(names))
+	for i, name := range names {
+		out[i] = b.channel(name)
+	}
+	return out
+}
 
 // onRise registers fn for rising edges of a net.
-func (b *Builder) onRise(net string, fn func(s *sim.Simulator)) {
-	b.S.Watch(net, func(s *sim.Simulator, _ int, val bool) {
+func (b *Builder) onRise(net int, fn func(s *sim.Simulator)) {
+	b.S.WatchNet(net, func(s *sim.Simulator, _ int, val bool) {
 		if val {
 			fn(s)
 		}
@@ -86,11 +102,25 @@ func (b *Builder) onRise(net string, fn func(s *sim.Simulator)) {
 }
 
 // onFall registers fn for falling edges of a net.
-func (b *Builder) onFall(net string, fn func(s *sim.Simulator)) {
-	b.S.Watch(net, func(s *sim.Simulator, _ int, val bool) {
+func (b *Builder) onFall(net int, fn func(s *sim.Simulator)) {
+	b.S.WatchNet(net, func(s *sim.Simulator, _ int, val bool) {
 		if !val {
 			fn(s)
 		}
+	})
+}
+
+// serve acknowledges every request edge on c with the same polarity
+// after delay; rise runs first on each rising edge.
+func (b *Builder) serve(c channel, delay float64, rise func()) {
+	b.onRise(c.r, func(s *sim.Simulator) {
+		if rise != nil {
+			rise()
+		}
+		s.ScheduleNet(c.a, true, delay)
+	})
+	b.onFall(c.r, func(s *sim.Simulator) {
+		s.ScheduleNet(c.a, false, delay)
 	})
 }
 
@@ -102,24 +132,11 @@ func (b *Builder) Variable(name string, width int, write string, reads ...string
 	access := LatchDelay + CompletionPerBit*float64(width)
 	if write != "" {
 		wb := b.Bus(write)
-		b.onRise(req(write), func(s *sim.Simulator) {
-			stored.Val = wb.Val
-			s.Schedule(ack(write), true, access)
-		})
-		b.onFall(req(write), func(s *sim.Simulator) {
-			s.Schedule(ack(write), false, access)
-		})
+		b.serve(b.channel(write), access, func() { stored.Val = wb.Val })
 	}
 	for _, r := range reads {
-		r := r
 		rb := b.Bus(r)
-		b.onRise(req(r), func(s *sim.Simulator) {
-			rb.Val = stored.Val
-			s.Schedule(ack(r), true, access)
-		})
-		b.onFall(req(r), func(s *sim.Simulator) {
-			s.Schedule(ack(r), false, access)
-		})
+		b.serve(b.channel(r), access, func() { rb.Val = stored.Val })
 	}
 	return stored
 }
@@ -129,94 +146,98 @@ func (b *Builder) Variable(name string, width int, write string, reads ...string
 func (b *Builder) Fetch(act, src, dst string) {
 	b.Area += 2 * WireArea
 	sb, db := b.Bus(src), b.Bus(dst)
+	ac, sc, dc := b.channel(act), b.channel(src), b.channel(dst)
 	busy := false // guards against cross-talk if a channel is shared
-	b.onRise(req(act), func(s *sim.Simulator) {
+	b.onRise(ac.r, func(s *sim.Simulator) {
 		busy = true
-		s.Schedule(req(src), true, 0.15)
+		s.ScheduleNet(sc.r, true, 0.15)
 	})
-	b.onRise(ack(src), func(s *sim.Simulator) {
+	b.onRise(sc.a, func(s *sim.Simulator) {
 		if !busy {
 			return
 		}
 		db.Val = sb.Val
-		s.Schedule(req(src), false, 0.15)
+		s.ScheduleNet(sc.r, false, 0.15)
 	})
-	b.onFall(ack(src), func(s *sim.Simulator) {
+	b.onFall(sc.a, func(s *sim.Simulator) {
 		if !busy {
 			return
 		}
-		s.Schedule(req(dst), true, 0.15)
+		s.ScheduleNet(dc.r, true, 0.15)
 	})
-	b.onRise(ack(dst), func(s *sim.Simulator) {
+	b.onRise(dc.a, func(s *sim.Simulator) {
 		if !busy {
 			return
 		}
-		s.Schedule(req(dst), false, 0.15)
+		s.ScheduleNet(dc.r, false, 0.15)
 	})
-	b.onFall(ack(dst), func(s *sim.Simulator) {
+	b.onFall(dc.a, func(s *sim.Simulator) {
 		if !busy {
 			return
 		}
 		busy = false
-		s.Schedule(ack(act), true, AckDelay)
+		s.ScheduleNet(ac.a, true, AckDelay)
 	})
-	b.onFall(req(act), func(s *sim.Simulator) {
-		s.Schedule(ack(act), false, AckDelay)
+	b.onFall(ac.r, func(s *sim.Simulator) {
+		s.ScheduleNet(ac.a, false, AckDelay)
 	})
 }
 
 // Func is a pull-served function unit: when out is pulled, it pulls all
 // inputs concurrently, computes f, and acknowledges out with the value.
+// f must not retain its argument: the slice is reused across calls.
 func (b *Builder) Func(out string, width int, f func(ins []uint64) uint64, ins ...string) {
 	b.Area += float64(width)*FuncAreaPerBit + WireArea*float64(len(ins))
 	ob := b.Bus(out)
+	oc := b.channel(out)
 	inBus := make([]*Bus, len(ins))
 	for i, in := range ins {
 		inBus[i] = b.Bus(in)
 	}
+	inCh := b.channels(ins)
+	vals := make([]uint64, len(ins))
 	pending := 0
-	b.onRise(req(out), func(s *sim.Simulator) {
-		if len(ins) == 0 {
+	b.onRise(oc.r, func(s *sim.Simulator) {
+		if len(inCh) == 0 {
 			ob.Val = f(nil)
-			s.Schedule(ack(out), true, FuncDelay(width))
+			s.ScheduleNet(oc.a, true, FuncDelay(width))
 			return
 		}
-		pending = len(ins)
-		for _, in := range ins {
-			s.Schedule(req(in), true, 0.15)
+		pending = len(inCh)
+		for _, c := range inCh {
+			s.ScheduleNet(c.r, true, 0.15)
 		}
 	})
-	for _, in := range ins {
-		b.onRise(ack(in), func(s *sim.Simulator) {
+	for _, c := range inCh {
+		b.onRise(c.a, func(s *sim.Simulator) {
 			pending--
 			if pending == 0 {
-				vals := make([]uint64, len(inBus))
 				for i, ib := range inBus {
 					vals[i] = ib.Val
 				}
 				ob.Val = f(vals)
-				s.Schedule(ack(out), true, FuncDelay(width))
+				s.ScheduleNet(oc.a, true, FuncDelay(width))
 			}
 		})
 	}
 	// Return to zero: when the puller drops the request, release the
 	// inputs and the acknowledge.
 	falling := 0
-	b.onFall(req(out), func(s *sim.Simulator) {
-		if len(ins) == 0 {
-			s.Schedule(ack(out), false, 0.15)
+	b.onFall(oc.r, func(s *sim.Simulator) {
+		if len(inCh) == 0 {
+			s.ScheduleNet(oc.a, false, 0.15)
 			return
 		}
-		falling = len(ins)
-		for _, in := range ins {
-			s.Schedule(req(in), false, 0.15)
+		falling = len(inCh)
+		for _, c := range inCh {
+			s.ScheduleNet(c.r, false, 0.15)
 		}
 	})
-	for _, in := range ins {
-		b.onFall(ack(in), func(s *sim.Simulator) {
+	for _, c := range inCh {
+		b.onFall(c.a, func(s *sim.Simulator) {
 			falling--
 			if falling == 0 {
-				s.Schedule(ack(out), false, 0.15)
+				s.ScheduleNet(oc.a, false, 0.15)
 			}
 		})
 	}
@@ -226,13 +247,7 @@ func (b *Builder) Func(out string, width int, f func(ins []uint64) uint64, ins .
 func (b *Builder) Const(out string, val uint64) {
 	b.Area += WireArea
 	ob := b.Bus(out)
-	b.onRise(req(out), func(s *sim.Simulator) {
-		ob.Val = val
-		s.Schedule(ack(out), true, 0.15)
-	})
-	b.onFall(req(out), func(s *sim.Simulator) {
-		s.Schedule(ack(out), false, 0.15)
-	})
+	b.serve(b.channel(out), 0.15, func() { ob.Val = val })
 }
 
 // CaseSel is the data-dependent dispatcher: a sync activation pulls the
@@ -242,37 +257,38 @@ func (b *Builder) Const(out string, val uint64) {
 func (b *Builder) CaseSel(act, sel string, outs ...string) {
 	b.Area += WireArea * float64(2+len(outs))
 	sb := b.Bus(sel)
+	ac, sc := b.channel(act), b.channel(sel)
+	outCh := b.channels(outs)
 	current := -1
-	b.onRise(req(act), func(s *sim.Simulator) {
-		s.Schedule(req(sel), true, 0.15)
+	b.onRise(ac.r, func(s *sim.Simulator) {
+		s.ScheduleNet(sc.r, true, 0.15)
 	})
-	b.onRise(ack(sel), func(s *sim.Simulator) {
+	b.onRise(sc.a, func(s *sim.Simulator) {
 		idx := int(sb.Val)
-		s.Schedule(req(sel), false, 0.15)
-		if idx < 0 || idx >= len(outs) {
+		s.ScheduleNet(sc.r, false, 0.15)
+		if idx < 0 || idx >= len(outCh) {
 			current = -1
-			s.Schedule(ack(act), true, SelectDelay)
+			s.ScheduleNet(ac.a, true, SelectDelay)
 			return
 		}
 		current = idx
-		s.Schedule(req(outs[idx]), true, SelectDelay)
+		s.ScheduleNet(outCh[idx].r, true, SelectDelay)
 	})
-	for i, out := range outs {
-		i, out := i, out
-		b.onRise(ack(out), func(s *sim.Simulator) {
+	for i, oc := range outCh {
+		b.onRise(oc.a, func(s *sim.Simulator) {
 			if current == i {
-				s.Schedule(req(out), false, 0.15)
+				s.ScheduleNet(oc.r, false, 0.15)
 			}
 		})
-		b.onFall(ack(out), func(s *sim.Simulator) {
+		b.onFall(oc.a, func(s *sim.Simulator) {
 			if current == i {
 				current = -1
-				s.Schedule(ack(act), true, AckDelay)
+				s.ScheduleNet(ac.a, true, AckDelay)
 			}
 		})
 	}
-	b.onFall(req(act), func(s *sim.Simulator) {
-		s.Schedule(ack(act), false, AckDelay)
+	b.onFall(ac.r, func(s *sim.Simulator) {
+		s.ScheduleNet(ac.a, false, AckDelay)
 	})
 }
 
@@ -303,17 +319,18 @@ func (b *Builder) LastMemory() *Memory {
 func (m *Memory) ReadPort(out, addr string, width int) {
 	b := m.b
 	ob, abus := b.Bus(out), b.Bus(addr)
-	b.onRise(req(out), func(s *sim.Simulator) {
-		s.Schedule(req(addr), true, 0.15)
+	oc, adc := b.channel(out), b.channel(addr)
+	b.onRise(oc.r, func(s *sim.Simulator) {
+		s.ScheduleNet(adc.r, true, 0.15)
 	})
-	b.onRise(ack(addr), func(s *sim.Simulator) {
+	b.onRise(adc.a, func(s *sim.Simulator) {
 		idx := int(abus.Val) % len(m.Words)
 		ob.Val = m.Words[idx]
-		s.Schedule(req(addr), false, 0.15)
-		s.Schedule(ack(out), true, FuncDelay(width))
+		s.ScheduleNet(adc.r, false, 0.15)
+		s.ScheduleNet(oc.a, true, FuncDelay(width))
 	})
-	b.onFall(req(out), func(s *sim.Simulator) {
-		s.Schedule(ack(out), false, 0.15)
+	b.onFall(oc.r, func(s *sim.Simulator) {
+		s.ScheduleNet(oc.a, false, 0.15)
 	})
 }
 
@@ -322,26 +339,27 @@ func (m *Memory) ReadPort(out, addr string, width int) {
 func (m *Memory) WritePort(act, addr, data string, width int) {
 	b := m.b
 	abus, dbus := b.Bus(addr), b.Bus(data)
+	ac, adc, dc := b.channel(act), b.channel(addr), b.channel(data)
 	got := 0
-	b.onRise(req(act), func(s *sim.Simulator) {
+	b.onRise(ac.r, func(s *sim.Simulator) {
 		got = 0
-		s.Schedule(req(addr), true, 0.15)
-		s.Schedule(req(data), true, 0.15)
+		s.ScheduleNet(adc.r, true, 0.15)
+		s.ScheduleNet(dc.r, true, 0.15)
 	})
 	done := func(s *sim.Simulator) {
 		got++
 		if got == 2 {
 			idx := int(abus.Val) % len(m.Words)
 			m.Words[idx] = dbus.Val
-			s.Schedule(req(addr), false, 0.15)
-			s.Schedule(req(data), false, 0.15)
-			s.Schedule(ack(act), true, FuncDelay(width))
+			s.ScheduleNet(adc.r, false, 0.15)
+			s.ScheduleNet(dc.r, false, 0.15)
+			s.ScheduleNet(ac.a, true, FuncDelay(width))
 		}
 	}
-	b.onRise(ack(addr), done)
-	b.onRise(ack(data), done)
-	b.onFall(req(act), func(s *sim.Simulator) {
-		s.Schedule(ack(act), false, AckDelay)
+	b.onRise(adc.a, done)
+	b.onRise(dc.a, done)
+	b.onFall(ac.r, func(s *sim.Simulator) {
+		s.ScheduleNet(ac.a, false, AckDelay)
 	})
 }
 
@@ -351,47 +369,31 @@ func (b *Builder) EnvServeSync(ch string, delay float64) {
 	if delay < AckDelay {
 		delay = AckDelay
 	}
-	b.onRise(req(ch), func(s *sim.Simulator) {
-		s.Schedule(ack(ch), true, delay)
-	})
-	b.onFall(req(ch), func(s *sim.Simulator) {
-		s.Schedule(ack(ch), false, delay)
-	})
+	b.serve(b.channel(ch), delay, nil)
 }
 
 // EnvServePull serves pull requests on ch with values produced by f.
 func (b *Builder) EnvServePull(ch string, delay float64, f func() uint64) {
 	cb := b.Bus(ch)
-	b.onRise(req(ch), func(s *sim.Simulator) {
-		cb.Val = f()
-		s.Schedule(ack(ch), true, delay)
-	})
-	b.onFall(req(ch), func(s *sim.Simulator) {
-		s.Schedule(ack(ch), false, delay)
-	})
+	b.serve(b.channel(ch), delay, func() { cb.Val = f() })
 }
 
 // EnvConsumePush consumes push handshakes on ch, reporting each value.
 func (b *Builder) EnvConsumePush(ch string, delay float64, f func(val uint64)) {
 	cb := b.Bus(ch)
-	b.onRise(req(ch), func(s *sim.Simulator) {
-		f(cb.Val)
-		s.Schedule(ack(ch), true, delay)
-	})
-	b.onFall(req(ch), func(s *sim.Simulator) {
-		s.Schedule(ack(ch), false, delay)
-	})
+	b.serve(b.channel(ch), delay, func() { f(cb.Val) })
 }
 
 // SyncActivation performs one four-phase activation of ch, calling done
 // when it completes.
 func (b *Builder) SyncActivation(ch string, delay float64, done func(s *sim.Simulator)) {
-	b.S.Schedule(req(ch), true, delay)
+	c := b.channel(ch)
+	b.S.ScheduleNet(c.r, true, delay)
 	fired := false
-	b.onRise(ack(ch), func(s *sim.Simulator) {
-		s.Schedule(req(ch), false, delay)
+	b.onRise(c.a, func(s *sim.Simulator) {
+		s.ScheduleNet(c.r, false, delay)
 	})
-	b.onFall(ack(ch), func(s *sim.Simulator) {
+	b.onFall(c.a, func(s *sim.Simulator) {
 		if !fired {
 			fired = true
 			done(s)
@@ -407,15 +409,16 @@ type Activator struct {
 	Limit     int
 	OnDone    func(s *sim.Simulator)
 	b         *Builder
+	c         channel
 }
 
 // NewActivator builds a repeated activator for a passive sync channel.
 func (b *Builder) NewActivator(ch string, delay float64, limit int, onDone func(s *sim.Simulator)) *Activator {
-	a := &Activator{Ch: ch, Delay: delay, Limit: limit, OnDone: onDone, b: b}
-	b.onRise(ack(ch), func(s *sim.Simulator) {
-		s.Schedule(req(ch), false, delay)
+	a := &Activator{Ch: ch, Delay: delay, Limit: limit, OnDone: onDone, b: b, c: b.channel(ch)}
+	b.onRise(a.c.a, func(s *sim.Simulator) {
+		s.ScheduleNet(a.c.r, false, delay)
 	})
-	b.onFall(ack(ch), func(s *sim.Simulator) {
+	b.onFall(a.c.a, func(s *sim.Simulator) {
 		a.Completed++
 		if a.Completed >= a.Limit {
 			if a.OnDone != nil {
@@ -423,14 +426,14 @@ func (b *Builder) NewActivator(ch string, delay float64, limit int, onDone func(
 			}
 			return
 		}
-		s.Schedule(req(ch), true, delay)
+		s.ScheduleNet(a.c.r, true, delay)
 	})
 	return a
 }
 
 // Start issues the first activation.
 func (a *Activator) Start() {
-	a.b.S.Schedule(req(a.Ch), true, a.Delay)
+	a.b.S.ScheduleNet(a.c.r, true, a.Delay)
 }
 
 // Describe returns a short diagnostic for error messages.

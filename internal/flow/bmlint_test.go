@@ -58,7 +58,7 @@ func TestBmlintGolden(t *testing.T) {
 			}
 			got := sb.String()
 			golden := filepath.Join(dir, d.Name+".bmlint")
-			if *updateNetlint {
+			if *update {
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					t.Fatal(err)
 				}

@@ -64,7 +64,7 @@ func TestHazverGolden(t *testing.T) {
 			}
 			got := sb.String()
 			golden := filepath.Join(dir, d.Name+".hazver")
-			if *updateNetlint {
+			if *update {
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					t.Fatal(err)
 				}

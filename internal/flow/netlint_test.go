@@ -17,7 +17,7 @@ import (
 	"balsabm/internal/techmap"
 )
 
-var updateNetlint = flag.Bool("update", false, "rewrite examples/netlint golden .netlint files")
+var update = flag.Bool("update", false, "rewrite the golden files the flow tests compare against")
 
 // armNetlists synthesizes one arm of a design and returns the mapped
 // controllers: the unopt arm maps the original control netlist
@@ -69,7 +69,7 @@ func TestNetlintGolden(t *testing.T) {
 			}
 			got := sb.String()
 			golden := filepath.Join(dir, d.Name+".netlint")
-			if *updateNetlint {
+			if *update {
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					t.Fatal(err)
 				}

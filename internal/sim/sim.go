@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"balsabm/internal/cell"
@@ -15,27 +14,67 @@ import (
 )
 
 // event is a scheduled net assignment, gate-output commit, or callback.
+// It holds no pointers: callbacks live in Simulator.callbacks and the
+// event carries only their slot, so the queue is a flat array that
+// pushes never box and the garbage collector never scans.
 type event struct {
 	time float64
 	seq  int64
-	net  int
+	net  int32
+	gate int32 // -1 for plain net events; else index of the driving gate
+	fn   int32 // -1 unless a callback; else its slot in Simulator.callbacks
 	val  bool
-	gate int // -1 for plain net events; else index of the driving gate
-	fn   func(*Simulator)
 }
 
-type eventHeap []event
+// eventQueue is a binary min-heap of events ordered by (time, seq).
+// Every event gets a fresh seq, so the order is total and any correct
+// heap pops exactly the same sequence: same-time events run in the
+// order they were scheduled.
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (q eventQueue) less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
 	}
-	return h[i].seq < h[j].seq
+	return q[i].seq < q[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && h.less(l, least) {
+			least = l
+		}
+		if r < n && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
+}
 
 // gateInst is a placed cell with inertial-delay bookkeeping: at most
 // one output change is in flight; re-evaluations that return to the
@@ -88,18 +127,22 @@ const FanoutPenalty = 0.02 // ns per extra load
 // Watcher observes value changes on a net.
 type Watcher func(s *Simulator, net int, val bool)
 
-// Simulator is the event-driven kernel.
+// Simulator is the event-driven kernel. Nets are dense int ids:
+// values, fanout and watchers are per-net slices that grow together in
+// Net, so dispatching an applied event is plain indexing.
 type Simulator struct {
-	lib      *cell.Library
-	names    []string
-	index    map[string]int
-	values   []bool
-	gates    []gateInst
-	fanout   [][]int // net -> gate indices
-	watchers map[int][]Watcher
-	queue    eventHeap
-	seq      int64
-	stopped  bool
+	lib       *cell.Library
+	names     []string
+	index     map[string]int
+	values    []bool
+	gates     []gateInst
+	fanout    [][]int     // net -> gate indices
+	watchers  [][]Watcher // net -> watchers, in registration order
+	queue     eventQueue
+	callbacks []func(*Simulator) // After callbacks by slot; nil when free
+	freeFns   []int32            // free callback slots
+	seq       int64
+	stopped   bool
 
 	// Time is the current simulation time in ns.
 	Time float64
@@ -109,7 +152,7 @@ type Simulator struct {
 
 // New creates a simulator over the given cell library.
 func New(lib *cell.Library) *Simulator {
-	return &Simulator{lib: lib, index: map[string]int{}, watchers: map[int][]Watcher{}}
+	return &Simulator{lib: lib, index: map[string]int{}}
 }
 
 // Net interns a global net by name.
@@ -122,15 +165,18 @@ func (s *Simulator) Net(name string) int {
 	s.index[name] = id
 	s.values = append(s.values, false)
 	s.fanout = append(s.fanout, nil)
+	s.watchers = append(s.watchers, nil)
 	return id
 }
 
 // NetName returns the name of a net id.
 func (s *Simulator) NetName(net int) string { return s.names[net] }
 
-// Value reads a net by name.
+// Value reads a net by name. A name no netlist, watcher or schedule
+// has mentioned is low, and reading it does not create the net.
 func (s *Simulator) Value(name string) bool {
-	return s.values[s.Net(name)]
+	id, ok := s.index[name]
+	return ok && s.values[id]
 }
 
 // ValueOf reads a net by id.
@@ -181,8 +227,12 @@ func (s *Simulator) AddNetlist(nl *gates.Netlist, instanceName string, portMap m
 
 // Watch registers a callback fired after the named net changes value.
 func (s *Simulator) Watch(name string, w Watcher) {
-	id := s.Net(name)
-	s.watchers[id] = append(s.watchers[id], w)
+	s.WatchNet(s.Net(name), w)
+}
+
+// WatchNet registers a callback fired after a net changes value.
+func (s *Simulator) WatchNet(net int, w Watcher) {
+	s.watchers[net] = append(s.watchers[net], w)
 }
 
 // Schedule sets a net to a value after the given delay.
@@ -193,7 +243,7 @@ func (s *Simulator) Schedule(name string, val bool, delay float64) {
 // ScheduleNet sets a net by id after the given delay.
 func (s *Simulator) ScheduleNet(net int, val bool, delay float64) {
 	s.seq++
-	heap.Push(&s.queue, event{time: s.Time + delay, seq: s.seq, net: net, val: val, gate: -1})
+	s.queue.push(event{time: s.Time + delay, seq: s.seq, net: int32(net), val: val, gate: -1, fn: -1})
 }
 
 // evalGate recomputes a gate and manages its pending output event.
@@ -220,14 +270,25 @@ func (s *Simulator) evalGate(gi int) {
 		g.hasPending = true
 		g.pendingVal = out
 		g.pendingSeq = s.seq
-		heap.Push(&s.queue, event{time: s.Time + g.delay, seq: s.seq, net: g.out, val: out, gate: gi})
+		s.queue.push(event{time: s.Time + g.delay, seq: s.seq, net: int32(g.out), val: out, gate: int32(gi), fn: -1})
 	}
 }
 
-// After schedules a callback to run at the given delay from now.
+// After schedules a callback to run at the given delay from now. The
+// callback waits in a side-table slot that is freed, for reuse by
+// later calls, just before it runs.
 func (s *Simulator) After(delay float64, fn func(*Simulator)) {
+	var slot int32
+	if n := len(s.freeFns); n > 0 {
+		slot = s.freeFns[n-1]
+		s.freeFns = s.freeFns[:n-1]
+		s.callbacks[slot] = fn
+	} else {
+		slot = int32(len(s.callbacks))
+		s.callbacks = append(s.callbacks, fn)
+	}
 	s.seq++
-	heap.Push(&s.queue, event{time: s.Time + delay, seq: s.seq, fn: fn})
+	s.queue.push(event{time: s.Time + delay, seq: s.seq, gate: -1, fn: slot})
 }
 
 // Stop halts the current Run after the present event.
@@ -273,18 +334,23 @@ func (s *Simulator) Init() error {
 }
 
 // Run processes events until the queue drains, the time limit passes,
-// the event budget is exhausted, or Stop is called.
+// the event budget is exhausted, or Stop is called. An event beyond the
+// time limit stays queued, so a later Run with a higher limit resumes
+// exactly where this one stopped.
 func (s *Simulator) Run(until float64, maxEvents int64) error {
 	s.stopped = false
-	for s.queue.Len() > 0 && !s.stopped {
-		e := heap.Pop(&s.queue).(event)
-		if e.time > until {
+	for len(s.queue) > 0 && !s.stopped {
+		if s.queue[0].time > until {
 			s.Time = until
 			return fmt.Errorf("sim: time limit %.2f ns exceeded", until)
 		}
+		e := s.queue.pop()
 		s.Time = e.time
-		if e.fn != nil {
-			e.fn(s)
+		if e.fn >= 0 {
+			fn := s.callbacks[e.fn]
+			s.callbacks[e.fn] = nil
+			s.freeFns = append(s.freeFns, e.fn)
+			fn(s)
 			continue
 		}
 		if e.gate >= 0 {
@@ -294,23 +360,24 @@ func (s *Simulator) Run(until float64, maxEvents int64) error {
 			}
 			g.hasPending = false
 		}
-		if s.values[e.net] == e.val {
+		net := int(e.net)
+		if s.values[net] == e.val {
 			continue
 		}
-		s.values[e.net] = e.val
+		s.values[net] = e.val
 		s.Events++
 		if s.Events > maxEvents {
 			return fmt.Errorf("sim: event budget %d exceeded at %.2f ns (oscillation?)", maxEvents, s.Time)
 		}
-		for _, gi := range s.fanout[e.net] {
+		for _, gi := range s.fanout[net] {
 			s.evalGate(gi)
 		}
-		for _, w := range s.watchers[e.net] {
-			w(s, e.net, e.val)
+		for _, w := range s.watchers[net] {
+			w(s, net, e.val)
 		}
 	}
 	return nil
 }
 
 // Quiet reports whether no events are pending.
-func (s *Simulator) Quiet() bool { return s.queue.Len() == 0 }
+func (s *Simulator) Quiet() bool { return len(s.queue) == 0 }

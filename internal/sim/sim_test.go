@@ -260,3 +260,52 @@ func TestEventBudget(t *testing.T) {
 		t.Fatal("oscillator should exhaust the event budget")
 	}
 }
+
+// A Run that stops at its time limit must leave the crossing event
+// queued: Run(t1) then Run(t2) ends exactly where one Run(t2) does.
+func TestRunResumesAcrossTimeLimit(t *testing.T) {
+	src := `(rep (enc-early (p-to-p passive P) (seq (p-to-p active A1) (p-to-p active A2))))`
+	const t2 = 100000
+	_, whole, d := mapped(t, "sequencer", src, techmap.SpeedSplit)
+	d.Start(50)
+	if err := whole.Run(t2, 2_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, t1 := range []float64{whole.Time / 3, whole.Time / 2, whole.Time - 0.01} {
+		_, split, d := mapped(t, "sequencer", src, techmap.SpeedSplit)
+		d.Start(50)
+		if err := split.Run(t1, 2_000_000); err == nil {
+			t.Fatalf("Run(%.2f) reached the end of a %.2f ns run", t1, whole.Time)
+		}
+		if split.Time != t1 {
+			t.Fatalf("Run(%.2f) stopped at %.2f", t1, split.Time)
+		}
+		if err := split.Run(t2, 2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if split.Time != whole.Time || split.Events != whole.Events || d.Err != nil {
+			t.Errorf("Run(%.2f)+Run(%d): time %v events %d (driver: %v); one Run(%d): time %v events %d",
+				t1, t2, split.Time, split.Events, d.Err, t2, whole.Time, whole.Events)
+		}
+	}
+}
+
+// Reading an unknown net by name answers low without creating it.
+func TestValueOfUnknownNetDoesNotIntern(t *testing.T) {
+	s := New(cell.AMS035())
+	a := s.Net("a")
+	s.ScheduleNet(a, true, 1)
+	if err := s.Run(10, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Value("a") {
+		t.Fatal("a must be high")
+	}
+	if s.Value("nope") {
+		t.Fatal("an unknown net must read low")
+	}
+	if _, ok := s.index["nope"]; ok || len(s.names) != 1 || len(s.values) != 1 || len(s.fanout) != 1 || len(s.watchers) != 1 {
+		t.Fatalf("reading an unknown net grew the simulator: %d names, %d values, %d fanout, %d watchers",
+			len(s.names), len(s.values), len(s.fanout), len(s.watchers))
+	}
+}
