@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
@@ -241,8 +242,9 @@ func T1ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 	for _, c := range out.Components {
 		rep.Containment[c.Name] = c.Name
 	}
+	memo := &probeMemo{m: map[probeKey]*ch.Program{}}
 	for {
-		merged, err := t1Sweep(out, rep, opt)
+		merged, err := t1Sweep(out, rep, opt, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -261,12 +263,52 @@ type t1Candidate struct {
 	merged       *ch.Program
 }
 
+// probeKey identifies one legality probe: the channel and the two
+// components it would merge. Components are keyed by pointer, not by
+// name, because a merged program reuses its activator's name; pointers
+// are sound because the clustering never mutates a component in place
+// (a merge replaces both with a new program) and the memo's keys keep
+// the probed programs alive, so an address is never reused.
+type probeKey struct {
+	channel string
+	x, y    *ch.Program
+}
+
+// probeMemo caches legality probe outcomes for one T1ClusteringOpt
+// call: the merged program, or nil when the merge is illegal. A sweep
+// re-probes every channel after each commit, and most of those probes
+// see the same two components as before.
+type probeMemo struct {
+	mu sync.Mutex
+	m  map[probeKey]*ch.Program
+}
+
+// probe returns the merged program of channel's x and y, or nil when
+// the merge is illegal, computing it once per key.
+func (pm *probeMemo) probe(channel string, x, y *ch.Program, opt Options) *ch.Program {
+	key := probeKey{channel, x, y}
+	pm.mu.Lock()
+	merged, ok := pm.m[key]
+	pm.mu.Unlock()
+	if ok {
+		return merged
+	}
+	merged, err := ActivationChannelRemoval(channel, x, y)
+	if err != nil || !synthesizable(merged, opt) {
+		merged = nil
+	}
+	pm.mu.Lock()
+	pm.m[key] = merged
+	pm.mu.Unlock()
+	return merged
+}
+
 // t1Evaluate probes one channel for a legal merge. It is pure with
 // respect to the netlist (ActivationChannelRemoval and the
 // synthesizability check clone everything they rewrite), so candidates
 // for many channels can be evaluated concurrently against the same
 // netlist state.
-func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options) t1Candidate {
+func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options, memo *probeMemo) t1Candidate {
 	us := uses[channel]
 	if len(us) != 2 {
 		return t1Candidate{}
@@ -284,12 +326,8 @@ func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Opt
 	if xName == yName {
 		return t1Candidate{}
 	}
-	x, y := out.Find(xName), out.Find(yName)
-	merged, err := ActivationChannelRemoval(channel, x, y)
-	if err != nil {
-		return t1Candidate{}
-	}
-	if !synthesizable(merged, opt) {
+	merged := memo.probe(channel, out.Find(xName), out.Find(yName), opt)
+	if merged == nil {
 		return t1Candidate{}
 	}
 	return t1Candidate{xName: xName, yName: yName, merged: merged}
@@ -306,8 +344,9 @@ func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Opt
 // channel order) commits, and the channels after it are re-evaluated
 // against the updated netlist — exactly the states the sequential
 // sweep would have probed, so merges, skips and the final netlist are
-// byte-for-byte the same at any worker count.
-func t1Sweep(out *Netlist, rep *Report, opt Options) (bool, error) {
+// byte-for-byte the same at any worker count. A re-evaluation whose two
+// components did not change is answered from memo.
+func t1Sweep(out *Netlist, rep *Report, opt Options, memo *probeMemo) (bool, error) {
 	channels, err := out.InternalPToP()
 	if err != nil {
 		return false, err
@@ -320,7 +359,7 @@ func t1Sweep(out *Netlist, rep *Report, opt Options) (bool, error) {
 		}
 		rest := channels[i:]
 		cands, err := parallel.MapCtx(opt.ctx(), opt.Pool, len(rest), func(k int) (t1Candidate, error) {
-			return t1Evaluate(out, rest[k], uses, opt), nil
+			return t1Evaluate(out, rest[k], uses, opt, memo), nil
 		})
 		if err != nil {
 			return false, err

@@ -67,6 +67,84 @@ func renameOneActiveLeaf(e ch.Expr, rng *rand.Rand, name string) bool {
 	return true
 }
 
+// fuzzPair draws one activating/activated pair joined by channel
+// "chan", reporting false when the draw is not a legal pair.
+func fuzzPair(rng *rand.Rand) (x, y *ch.Program, ok bool) {
+	g := &genCtx{rng: rng}
+	// Activating component: passive activation enclosing a random
+	// active expression, one of whose leaves becomes the channel.
+	activeExpr := g.gen(ch.Active, rng.Intn(2)+1)
+	if !renameOneActiveLeaf(activeExpr, rng, "chan") {
+		return nil, nil, false
+	}
+	x = &ch.Program{Name: "act", Body: &ch.Rep{Body: &ch.Op{
+		Kind: ch.EncEarly,
+		A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "go"},
+		B:    activeExpr,
+	}}}
+	// Activated component: an enclosure of a random body within
+	// the channel handshake (fresh names distinct from x's).
+	g2 := &genCtx{rng: rng, next: 100}
+	encs := []ch.OpKind{ch.EncEarly, ch.EncMiddle, ch.EncLate}
+	y = &ch.Program{Name: "low", Body: &ch.Rep{Body: &ch.Op{
+		Kind: encs[rng.Intn(len(encs))],
+		A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "chan"},
+		B:    g2.genAny(rng.Intn(2) + 1),
+	}}}
+	if ch.Validate(x.Body) != nil || ch.Validate(y.Body) != nil {
+		return nil, nil, false
+	}
+	return x, y, true
+}
+
+// RandomNetlists returns count netlists of size fuzz pairs each, drawn
+// as TestFuzzClusterConformance draws them. Each pair's names get a
+// p<i>- prefix, and a sequencer "top" activates every pair's "go" in
+// turn, so a T1 run sees several internal channels, re-probes them
+// after each commit, and can merge across levels.
+func RandomNetlists(count, size int) []*Netlist {
+	rng := rand.New(rand.NewSource(1962))
+	var out []*Netlist
+	for len(out) < count {
+		n := &Netlist{}
+		var seq ch.Expr
+		for i := 0; i < size; {
+			x, y, ok := fuzzPair(rng)
+			if !ok {
+				continue
+			}
+			prefix := fmt.Sprintf("p%d-", i)
+			for _, p := range []*ch.Program{x, y} {
+				var names []string
+				ch.Walk(p.Body, func(e ch.Expr) {
+					if c, ok := e.(*ch.Chan); ok && c.Kind == ch.PToP {
+						names = append(names, c.Name)
+					}
+				})
+				body := p.Body
+				for _, nm := range names {
+					body = ch.RenameChannel(body, nm, prefix+nm)
+				}
+				n.Components = append(n.Components, &ch.Program{Name: prefix + p.Name, Body: body})
+			}
+			var goCh ch.Expr = &ch.Chan{Kind: ch.PToP, Act: ch.Active, Name: prefix + "go"}
+			if seq == nil {
+				seq = goCh
+			} else {
+				seq = &ch.Op{Kind: ch.Seq, A: seq, B: goCh}
+			}
+			i++
+		}
+		n.Components = append(n.Components, &ch.Program{Name: "top", Body: &ch.Rep{Body: &ch.Op{
+			Kind: ch.EncEarly,
+			A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "start"},
+			B:    seq,
+		}}})
+		out = append(out, n)
+	}
+	return out
+}
+
 // TestFuzzClusterConformance: for random activating/activated pairs,
 // every merge that T1 would commit (i.e. the merged component is
 // Burst-Mode synthesizable) must be conformation-equivalent to the
@@ -76,31 +154,8 @@ func TestFuzzClusterConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1962)) // SSEM's ancestor year, why not
 	tried, verified := 0, 0
 	for i := 0; i < 300 && verified < 80; i++ {
-		g := &genCtx{rng: rng}
-		// Activating component: passive activation enclosing a random
-		// active expression, one of whose leaves becomes the channel.
-		activeExpr := g.gen(ch.Active, rng.Intn(2)+1)
-		if !renameOneActiveLeaf(activeExpr, rng, "chan") {
-			continue
-		}
-		x := &ch.Program{Name: "act", Body: &ch.Rep{Body: &ch.Op{
-			Kind: ch.EncEarly,
-			A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "go"},
-			B:    activeExpr,
-		}}}
-		// Activated component: an enclosure of a random body within
-		// the channel handshake (fresh names distinct from x's).
-		g2 := &genCtx{rng: rng, next: 100}
-		encs := []ch.OpKind{ch.EncEarly, ch.EncMiddle, ch.EncLate}
-		y := &ch.Program{Name: "low", Body: &ch.Rep{Body: &ch.Op{
-			Kind: encs[rng.Intn(len(encs))],
-			A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "chan"},
-			B:    g2.genAny(rng.Intn(2) + 1),
-		}}}
-		if err := ch.Validate(x.Body); err != nil {
-			continue
-		}
-		if err := ch.Validate(y.Body); err != nil {
+		x, y, ok := fuzzPair(rng)
+		if !ok {
 			continue
 		}
 		merged, err := ActivationChannelRemoval("chan", x, y)

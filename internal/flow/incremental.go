@@ -71,14 +71,22 @@ func (c *MemoryControllerCache) Len() int {
 	return len(c.m)
 }
 
+// synthVersion tags every controller key with the synthesis pipeline
+// that produced the cached netlist, so a store written by an older
+// pipeline never answers for a newer one. Change it whenever the same
+// controller can synthesize to a different netlist — as when a prime
+// enumeration that used to hit its node budget now finishes exactly
+// and yields a different cover.
+const synthVersion = "synth=2"
+
 // ControllerKey is the cache key of one controller synthesis: the
 // canonical subtree digest qualified by everything else that affects
-// the synthesized netlist — the mapping mode and whether the hazard
-// audit gates the result. Wire names are deliberately absent: they
-// are exactly what Rename substitutes on reuse, which is how a cached
-// controller crosses designs.
+// the synthesized netlist — the synthesis version, the mapping mode
+// and whether the hazard audit gates the result. Wire names are
+// deliberately absent: they are exactly what Rename substitutes on
+// reuse, which is how a cached controller crosses designs.
 func ControllerKey(mode techmap.Mode, audit bool, digest string) string {
-	return fmt.Sprintf("ctl|%s|audit=%t|%s", mode, audit, digest)
+	return fmt.Sprintf("ctl|%s|%s|audit=%t|%s", synthVersion, mode, audit, digest)
 }
 
 // controllerBlob is the durable form of one synthesized controller:

@@ -45,7 +45,7 @@ func BenchmarkDHFPrimes(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range seeds {
-					mat.dhfPrimes(s)
+					mat.dhfPrimes(s, (*problemMat).dhfPrimesMask)
 				}
 			}
 		})

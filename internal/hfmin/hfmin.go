@@ -142,12 +142,12 @@ func (e *ConflictError) Error() string {
 }
 
 // EnumBudget bounds the nodes one dhfPrimes enumeration may visit
-// before falling back to greedy expansion. The packed engine made
-// nodes roughly an order of magnitude cheaper than the original
-// []Lit implementation's 1500-node budget, so the exact path now
-// covers the Table 3 controllers without truncating. Exported so
-// bmlint's BM200 complexity report can compare a spec's estimated
-// enumeration pressure against the minimizer's exact-path budget.
+// before falling back to greedy expansion. A node counts only when the
+// search actually expands it: nodes pruned because their candidate
+// lies inside a feasible set already found, and duplicates of a
+// visited exclusion set, are not counted. Exported so bmlint's BM200
+// complexity report can compare a spec's estimated enumeration
+// pressure against the minimizer's exact-path budget.
 const EnumBudget = 20000
 
 // bbBudget bounds the covering branch-and-bound; beyond it the
@@ -165,14 +165,15 @@ type packedPriv struct {
 // problemMat is the packed OFF-set / privileged-cube matrix every
 // dhf-implicant test scans.
 type problemMat struct {
-	sp   *logic.Space
-	off  []logic.PackedCube
-	priv []packedPriv
+	sp     *logic.Space
+	off    []logic.PackedCube
+	priv   []packedPriv
+	budget int64 // node budget of one dhfPrimes enumeration
 }
 
 func newProblemMat(vars int, off logic.Cover, priv []privileged) *problemMat {
 	sp := logic.NewSpace(vars)
-	m := &problemMat{sp: sp, off: sp.PackCover(off)}
+	m := &problemMat{sp: sp, off: sp.PackCover(off), budget: EnumBudget}
 	m.priv = make([]packedPriv, len(priv))
 	for i, pv := range priv {
 		m.priv[i] = packedPriv{cube: sp.Pack(pv.cube), start: sp.PointWords(pv.start)}
@@ -209,7 +210,10 @@ func (m *problemMat) isDHF(c logic.PackedCube) bool {
 // Wider seeds take the defensive generic packed-cube path, a bottom-up
 // subset walk whose exactness flag is conservative (it can truncate on
 // instances the mask path finishes).
-func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
+//
+// mask is the engine for the ≤64-variable case: dhfPrimesMask in
+// production, a reference engine in the differential tests.
+func (m *problemMat) dhfPrimes(seed logic.PackedCube, mask maskEngine) (out []logic.PackedCube, nodes int64, exact bool) {
 	var spec []int
 	for v := 0; v < m.sp.Vars(); v++ {
 		if seed.Lit(v) != logic.DC {
@@ -217,10 +221,14 @@ func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, n
 		}
 	}
 	if len(spec) <= 64 {
-		return m.dhfPrimesMask(seed, spec)
+		return mask(m, seed, spec)
 	}
 	return m.dhfPrimesWide(seed)
 }
+
+// maskEngine enumerates the dhf-primes of a seed whose specified
+// variables are spec (at most 64 of them).
+type maskEngine func(m *problemMat, seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool)
 
 // dhfPrimesMask is the subset-mask fast path of dhfPrimes. Bit i of a
 // mask stands for spec[i], the i-th specified variable of the seed;
@@ -244,8 +252,18 @@ func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, n
 // OFF conflict, conf ⊄ S since S is feasible; for a privileged pair,
 // D ⊆ S would contradict D ⊄ U, hence P ⊄ S), so the branch set is
 // complete and every dhf-prime surfaces as a leaf. Leaves are feasible
-// by construction and filtered for pairwise maximality at the end;
-// the tree size tracks the number of primes, not the subset count.
+// by construction; the tree size tracks the number of primes, not the
+// subset count.
+//
+// The leaves found so far are kept as an antichain. A node whose
+// candidate U lies inside a kept leaf is pruned before it is
+// deduplicated or counted: every candidate below it is a subset of U,
+// so a strict subset of a feasible set and never a prime. A prime's
+// ancestors all have candidates containing it, so none of them is
+// pruned, and every prime surfaces at the same point of the DFS, in
+// the same order, as in the unpruned search. A new leaf evicts the
+// kept leaves it strictly contains, in place, so the kept order stays
+// first-seen.
 func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
 	k := len(spec)
 	offConf := make([]uint64, 0, len(m.off))
@@ -292,21 +310,26 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 		full = 1<<uint(k) - 1
 	}
 	var leaves []uint64
-	seen := map[uint64]struct{}{}
+	var seen maskSet
 	overflow := false
 	var walk func(ex uint64)
 	walk = func(ex uint64) {
 		if overflow {
 			return
 		}
-		if _, dup := seen[ex]; dup {
+		u := full &^ ex
+		for _, l := range leaves {
+			if u&^l == 0 {
+				return
+			}
+		}
+		if !seen.add(ex) {
 			return
 		}
-		if nodes++; nodes > EnumBudget {
+		if nodes++; nodes > m.budget {
 			overflow = true
 			return
 		}
-		seen[ex] = struct{}{}
 		// A constraint is violated at the candidate U = full∖ex when
 		// its conflict set avoids ex entirely (conf ⊆ U) and, for a
 		// privileged pair, a start-distance literal is pinned (D ⊄ U).
@@ -328,7 +351,13 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 				return
 			}
 		}
-		leaves = append(leaves, full&^ex)
+		kept := leaves[:0]
+		for _, l := range leaves {
+			if l&^u != 0 {
+				kept = append(kept, l)
+			}
+		}
+		leaves = append(kept, u)
 	}
 	walk(0)
 	if overflow {
@@ -364,8 +393,8 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 			}
 		}
 	}
-	// Distinct exclusion sets can close on nested candidates; keep only
-	// the maximal masks (the true dhf-primes).
+	// The greedy expansions of a truncated search can nest with the
+	// kept leaves; keep only the maximal masks.
 	for _, s := range leaves {
 		maximal := true
 		for _, t := range leaves {
@@ -388,6 +417,48 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 	return out, nodes, !overflow
 }
 
+// maskSet is an open-addressing set of uint64 exclusion masks. A zero
+// slot marks an empty one, so key 0 (the root's empty exclusion set)
+// is tracked by its own flag.
+type maskSet struct {
+	slots   []uint64
+	n       int
+	hasZero bool
+}
+
+// add inserts k, reporting whether it was absent.
+func (s *maskSet) add(k uint64) bool {
+	if k == 0 {
+		if s.hasZero {
+			return false
+		}
+		s.hasZero = true
+		return true
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint64, max(16, 2*len(old)))
+		s.n = 0
+		for _, o := range old {
+			if o != 0 {
+				s.add(o)
+			}
+		}
+	}
+	mask := uint64(len(s.slots) - 1)
+	h := k * 0x9e3779b97f4a7c15
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		case k:
+			return false
+		}
+	}
+}
+
 // dhfPrimesWide is the generic path for seeds with more than 64
 // specified variables: the same walk on packed cubes directly.
 func (m *problemMat) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
@@ -405,7 +476,7 @@ func (m *problemMat) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCub
 		if overflow {
 			return
 		}
-		if nodes++; nodes > EnumBudget {
+		if nodes++; nodes > m.budget {
 			overflow = true
 			return
 		}
@@ -487,6 +558,13 @@ type Result struct {
 // (Result.Exact), beyond it the greedy fallbacks keep the cover valid
 // at a small optimality cost.
 func (p *Problem) Minimize() (*Result, error) {
+	return p.minimize(EnumBudget, (*problemMat).dhfPrimesMask)
+}
+
+// minimize is Minimize with the enumeration's node budget and mask
+// engine as parameters, so tests can force the greedy fallback and
+// compare against a reference engine.
+func (p *Problem) minimize(budget int64, mask maskEngine) (*Result, error) {
 	on, off, required, priv, err := p.sets()
 	if err != nil {
 		return nil, err
@@ -495,6 +573,7 @@ func (p *Problem) Minimize() (*Result, error) {
 		return &Result{Cover: nil, Exact: true}, nil // constant-0 function
 	}
 	mat := newProblemMat(p.Vars, off, priv)
+	mat.budget = budget
 	// Generate candidate dhf-primes from each required cube.
 	var primes []logic.PackedCube
 	primeSet := logic.NewKeySet(mat.sp)
@@ -505,7 +584,7 @@ func (p *Problem) Minimize() (*Result, error) {
 		if !mat.isDHF(packedReq[i]) {
 			return nil, fmt.Errorf("hfmin: required cube %s is not a dhf-implicant; specification is not hazard-free realizable", r)
 		}
-		cand, nodes, exact := mat.dhfPrimes(packedReq[i])
+		cand, nodes, exact := mat.dhfPrimes(packedReq[i], mask)
 		res.EnumNodes += nodes
 		if !exact {
 			res.Exact = false

@@ -293,7 +293,7 @@ func TestDHFPrimesOracle(t *testing.T) {
 					want[c.String()] = true
 				}
 			}
-			got, _, exact := mat.dhfPrimes(mat.sp.Pack(r))
+			got, _, exact := mat.dhfPrimes(mat.sp.Pack(r), (*problemMat).dhfPrimesMask)
 			if !exact {
 				t.Fatalf("problem %d seed %s: enumeration truncated", pi, r)
 			}

@@ -608,8 +608,9 @@ func netlistKey(n *core.Netlist) string {
 // resultFormat tags every job key with the wire schema of the results
 // stored under it, so a data directory written under an older schema
 // never answers a new submission from disk. Change it whenever the
-// encoding of api.JobResult changes.
-const resultFormat = "results=2"
+// encoding of api.JobResult changes, or whenever the same request can
+// compute a different result (as flow's synthVersion records).
+const resultFormat = "results=3"
 
 // prepare validates a request and returns its executor closure and
 // dedup key, tagged with resultFormat.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,5 +411,77 @@ func TestResultFormatTagMissesOldStore(t *testing.T) {
 	res := j.Result()
 	if res == nil || res.Synth == nil || len(res.Synth.Controllers) == 0 || res.Synth.Netlint.Unit != "synth.unopt" {
 		t.Errorf("result is not a fresh synthesis: %+v", res)
+	}
+}
+
+// recordingCache is a controller cache that keeps every blob put into
+// it, by key.
+type recordingCache struct {
+	*flow.MemoryControllerCache
+	mu   sync.Mutex
+	puts map[string][]byte
+}
+
+func (c *recordingCache) PutController(key string, blob []byte) {
+	c.mu.Lock()
+	c.puts[key] = blob
+	c.mu.Unlock()
+	c.MemoryControllerCache.PutController(key, blob)
+}
+
+// TestControllerKeyVersionMissesOldStore: a data directory written
+// before controller keys carried the synthesis version holds its
+// controller blobs under unversioned keys. A newer minimizer may
+// synthesize the same controller differently, so a new submission
+// must miss those blobs and resynthesize; the same blobs under the
+// current keys are reused, so only the key layout makes the miss.
+func TestControllerKeyVersionMissesOldStore(t *testing.T) {
+	req := api.JobRequest{Kind: api.KindSynth, Source: twoSequencers, Mode: api.ModeOpt}
+	rec := &recordingCache{MemoryControllerCache: flow.NewMemoryControllerCache(), puts: map[string][]byte{}}
+	if _, err := RunSynth(context.Background(), req, &flow.Metrics{}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.puts) == 0 {
+		t.Fatal("seeding run cached no controller")
+	}
+	for _, old := range []bool{true, false} {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, blob := range rec.puts {
+			if old {
+				// The key layout before it carried the synthesis
+				// version: ctl|<mode>|audit=<bool>|<digest>.
+				var parts []string
+				for _, p := range strings.Split(key, "|") {
+					if !strings.HasPrefix(p, "synth=") {
+						parts = append(parts, p)
+					}
+				}
+				key = strings.Join(parts, "|")
+			}
+			st.PutController(key, blob)
+		}
+		m := NewManager(Config{Workers: 1, Store: st})
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		js := j.Status()
+		m.Close()
+		st.Close()
+		if js.State != api.StateDone {
+			t.Fatalf("old=%t: job state %s", old, js.State)
+		}
+		want := api.JobStatus{ControllersReused: int64(len(rec.puts))}
+		if old {
+			want = api.JobStatus{ControllersResynthesized: int64(len(rec.puts))}
+		}
+		if js.ControllersReused != want.ControllersReused || js.ControllersResynthesized != want.ControllersResynthesized {
+			t.Errorf("old=%t: reused %d, resynthesized %d; want %d, %d", old,
+				js.ControllersReused, js.ControllersResynthesized, want.ControllersReused, want.ControllersResynthesized)
+		}
 	}
 }
