@@ -1,25 +1,26 @@
 // This file implements the compiled bit-parallel netlist evaluation
-// engine behind the mapped-logic hazard audit (techmap.CheckMapped)
-// and other settle-style consumers. Compile performs the one-time
-// work the interpreted settle loop repeated per sample point —
-// string-keyed cell lookups, driver scans, per-gate input buffers —
-// and produces a Program: a levelized sequence of int-indexed ops
-// over flat arrays. Evaluation is then a single allocation-free
-// topological pass instead of a fixed-point iteration, and it is
-// 64-way lane-parallel: every net carries a uint64 whose bit l is the
-// net's value at sample point l, so one pass settles 64 independent
-// points.
+// engine — the one engine production code uses to settle a mapped
+// netlist (techmap.CheckMapped's cover audit, and in ternary mode
+// hazver's hazard verification). Compile does the structural work
+// once — string-keyed cell lookups, driver scans, per-gate input
+// buffers — and produces a Program: a levelized sequence of
+// int-indexed ops over flat arrays. Evaluation is then a single
+// allocation-free topological pass instead of a fixed-point
+// iteration, and it is 64-way lane-parallel: every net carries a
+// uint64 whose bit l is the net's value at sample point l, so one pass
+// settles 64 independent points.
 //
-// Forced nets — the audit's cut points (primary outputs and y* state
+// Forced nets — the audits' cut points (primary outputs and y* state
 // bits under fundamental-mode feedback) — are treated as sources:
 // their values come from the caller, the instances driving them are
 // excluded from the settle pass and kept aside as probes that
-// Eval.Driver recomputes on demand (the compiled form of the audit's
-// evalDriver). If cutting the forced nets leaves a combinational
-// cycle, or a stateful cell drives an unforced net (its settled value
-// would depend on the interpreted loop's evaluation order, which a
-// single levelized pass cannot reproduce), Compile reports an error
-// and callers fall back to the interpreted reference path.
+// Eval.Driver recomputes on demand. If cutting the forced nets leaves
+// a combinational cycle, or a stateful cell drives an unforced net
+// (its settled value would depend on an evaluation order a single
+// levelized pass cannot reproduce), Compile reports an error and the
+// caller reports the netlist as unverifiable. The package's tests
+// check the engine against one interpreted fixed-point settle, the
+// oracle in oracle_test.go.
 package gates
 
 import (
@@ -127,11 +128,10 @@ func compileCell(c *cell.Cell) compiledCell {
 // Compile builds the evaluation program for a netlist: cell names
 // interned to per-cell ops, a driver index, and the gate graph
 // levelized topologically with the forced nets as cut points. forced
-// may be nil. Compile fails — callers fall back to interpreted
-// evaluation — when a cell is missing from the library or wired with
-// too few pins, a non-forced net has several drivers, a stateful cell
-// drives a non-forced net, or the forced cut leaves a combinational
-// cycle.
+// may be nil. Compile fails when a cell is missing from the library
+// or wired with too few pins, a non-forced net has several drivers, a
+// stateful cell drives a non-forced net, or the forced cut leaves a
+// combinational cycle.
 func Compile(nl *Netlist, lib *cell.Library, forced map[int]bool) (*Program, error) {
 	p := &Program{name: nl.Name, nets: len(nl.NetNames), probes: map[int]int{}}
 	cells := make(map[string]compiledCell)
@@ -173,8 +173,8 @@ func Compile(nl *Netlist, lib *cell.Library, forced map[int]bool) (*Program, err
 	}
 
 	// Partition instances: drivers of forced nets become probes
-	// (excluded from the settle, exactly as the interpreted loop skips
-	// them); the rest are the computed set to levelize.
+	// (excluded from the settle pass); the rest are the computed set
+	// to levelize.
 	computedDrv := make([]bool, p.nets)
 	var computed []int
 	compiledOps := map[int]evalOp{}
@@ -269,8 +269,7 @@ func (p *Program) NewEval() *Eval {
 	return &Eval{prog: p, lanes: make([]uint64, p.nets), slow: make([]bool, p.maxIns)}
 }
 
-// Reset zeroes every lane word (the power-up/zero-history state the
-// interpreted settle starts from).
+// Reset zeroes every lane word (the power-up/zero-history state).
 func (e *Eval) Reset() {
 	for i := range e.lanes {
 		e.lanes[i] = 0
@@ -295,10 +294,9 @@ func (e *Eval) Run() {
 }
 
 // Driver evaluates the probe instance driving a forced net against
-// the current lane values — the compiled form of the audit's
-// evalDriver — reporting false if the net has no driver. The net's
-// forced word itself serves as the previous output for stateful
-// probes, as in the interpreted reference.
+// the current lane values, reporting false if the net has no driver.
+// The net's forced word itself serves as the previous output for
+// stateful probes.
 func (e *Eval) Driver(net int) (uint64, bool) {
 	pi, ok := e.prog.probes[net]
 	if !ok {

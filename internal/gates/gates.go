@@ -1,8 +1,9 @@
 // Package gates models mapped gate-level netlists: instances of library
 // cells connected by named nets, with area/critical-path reporting, a
-// functional evaluator (used by equivalence and hazard audits and by
-// the event simulator) and a structural Verilog writer (the paper's
-// tech-mapped controllers are exchanged as structural Verilog).
+// compiled lane-parallel evaluator (eval.go, binary; ternary.go,
+// {0,1,X}) behind the cover and hazard audits, and a structural
+// Verilog writer (the paper's tech-mapped controllers are exchanged as
+// structural Verilog).
 package gates
 
 import (
@@ -200,53 +201,6 @@ func (n *Netlist) CriticalDelay(lib *cell.Library) float64 {
 		}
 	}
 	return worst
-}
-
-// Settle evaluates the netlist to a combinational fixpoint from the
-// given primary-input values and previous net values (nil for
-// power-up, which assumes all-zero history for stateful cells). It
-// returns the settled net values, or an error if the circuit
-// oscillates.
-func (n *Netlist) Settle(lib *cell.Library, inputs map[string]bool, prev []bool) ([]bool, error) {
-	vals := make([]bool, len(n.NetNames))
-	if prev != nil {
-		copy(vals, prev)
-	}
-	for name, v := range inputs {
-		id, ok := n.netIndex[name]
-		if !ok {
-			return nil, fmt.Errorf("gates: %s: no net %q", n.Name, name)
-		}
-		vals[id] = v
-	}
-	for iter := 0; iter < 4*len(n.Instances)+16; iter++ {
-		changed := false
-		for _, inst := range n.Instances {
-			c := lib.Get(inst.Cell)
-			ins := make([]bool, len(inst.Inputs))
-			for i, in := range inst.Inputs {
-				ins[i] = vals[in]
-			}
-			out := c.Eval(ins, vals[inst.Output])
-			if out != vals[inst.Output] {
-				vals[inst.Output] = out
-				changed = true
-			}
-		}
-		if !changed {
-			return vals, nil
-		}
-	}
-	return nil, fmt.Errorf("gates: %s: did not settle", n.Name)
-}
-
-// Value reads a named net from a settled value vector.
-func (n *Netlist) Value(vals []bool, name string) (bool, error) {
-	id, ok := n.netIndex[name]
-	if !ok {
-		return false, fmt.Errorf("gates: %s: no net %q", n.Name, name)
-	}
-	return vals[id], nil
 }
 
 // CellCounts returns instance counts by cell name.

@@ -19,44 +19,6 @@ func buildHalfAdder() *Netlist {
 	return nl
 }
 
-func TestSettleAndValue(t *testing.T) {
-	lib := cell.AMS035()
-	nl := buildHalfAdder()
-	for _, tc := range []struct {
-		a, b, sum, carry bool
-	}{
-		{false, false, false, false},
-		{true, false, true, false},
-		{true, true, false, true},
-	} {
-		vals, err := nl.Settle(lib, map[string]bool{"a": tc.a, "b": tc.b}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, _ := nl.Value(vals, "sum")
-		carry, _ := nl.Value(vals, "carry")
-		if sum != tc.sum || carry != tc.carry {
-			t.Fatalf("a=%v b=%v: sum=%v carry=%v", tc.a, tc.b, sum, carry)
-		}
-	}
-	if _, err := nl.Value(nil, "bogus"); err == nil {
-		t.Fatal("expected error for unknown net")
-	}
-	if _, err := nl.Settle(lib, map[string]bool{"bogus": true}, nil); err == nil {
-		t.Fatal("expected error for unknown input")
-	}
-}
-
-func TestSettleDetectsOscillation(t *testing.T) {
-	lib := cell.AMS035()
-	nl := New("osc")
-	n := nl.Net("x")
-	nl.AddInstance("INV", []int{n}, n, 0)
-	if _, err := nl.Settle(lib, nil, nil); err == nil {
-		t.Fatal("ring oscillator must not settle")
-	}
-}
-
 func TestAreaAndCritical(t *testing.T) {
 	lib := cell.AMS035()
 	nl := buildHalfAdder()
@@ -186,29 +148,6 @@ func TestVerilogOutput(t *testing.T) {
 		if !strings.Contains(v, want) {
 			t.Fatalf("missing %q in:\n%s", want, v)
 		}
-	}
-}
-
-func TestSettleWithCElementState(t *testing.T) {
-	lib := cell.AMS035()
-	nl := New("c")
-	a, b := nl.Net("a"), nl.Net("b")
-	out := nl.Net("out")
-	nl.Inputs = append(nl.Inputs, a, b)
-	nl.Outputs = append(nl.Outputs, out)
-	nl.AddInstance("C2", []int{a, b}, out, 0)
-	vals, err := nl.Settle(lib, map[string]bool{"a": true, "b": true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold with prior state: a falls, out must stay high.
-	vals, err = nl.Settle(lib, map[string]bool{"a": false, "b": true}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := nl.Value(vals, "out")
-	if !got {
-		t.Fatal("C-element lost its state across Settle calls")
 	}
 }
 

@@ -15,15 +15,12 @@
 // assigned value — the same fundamental-mode feedback convention as
 // the boolean Eval.
 //
-// TernaryEval is the fast path; SettleTernary/DriveTernary are the
-// interpreted reference (the fuzz oracle), a ternary fixed-point
-// sweep in the style of Netlist.Settle that also covers netlists
-// Compile rejects.
+// There is no interpreted fallback: a netlist Compile rejects cannot
+// be verified. The tests check TernaryEval against the interpreted
+// fixed-point oracle in oracle_test.go.
 package gates
 
 import (
-	"fmt"
-
 	"balsabm/internal/cell"
 )
 
@@ -54,7 +51,7 @@ type ternOp uint8
 const (
 	tnRAIL ternOp = iota // kind-specialized rail formula (exact Kleene)
 	tnLUT                // dual minterm expansion over tab (exact Kleene)
-	tnSLOW               // per-lane interpreted cell evaluation
+	tnSLOW               // per-lane cell evaluation through cell.Eval
 )
 
 // TernaryEval is the mutable ternary evaluation state for one
@@ -226,7 +223,7 @@ func (e *TernaryEval) apply3(op *evalOp, strat ternOp, tab [2]uint64) (uint64, u
 		h0, l0 := lutTernary(tab[0], ins, hi, lo, lo[op.out])
 		h1, l1 := lutTernary(tab[1], ins, hi, lo, hi[op.out])
 		return h0 | h1, l0 | l1
-	default: // tnSLOW: per-lane interpreted evaluation
+	default: // tnSLOW: per-lane evaluation through ternaryCell
 		scratch := e.slow[:len(ins)]
 		var h, l uint64
 		for ln := uint(0); ln < 64; ln++ {
@@ -400,72 +397,4 @@ func ternaryCell(c *cell.Cell, ins []uint8, prev uint8, scratch []bool) uint8 {
 		return T1
 	}
 	return T0
-}
-
-// SettleTernary is the interpreted ternary reference evaluator: a
-// fixed-point sweep over the instances, skipping drivers of forced
-// nets exactly as the boolean settle loops do. vals must have one
-// entry per net, pre-loaded by the caller (typically all TX, then
-// binary values on the forced cut points and stable inputs). It is
-// the oracle the compiled TernaryEval is fuzzed against, and the
-// fallback for netlists Compile rejects.
-func SettleTernary(nl *Netlist, lib *cell.Library, forced map[int]bool, vals []uint8) error {
-	if len(vals) != len(nl.NetNames) {
-		return fmt.Errorf("gates: ternary settle %s: got %d values for %d nets", nl.Name, len(vals), len(nl.NetNames))
-	}
-	ins := make([]uint8, 0, 8)
-	scratch := make([]bool, 16)
-	limit := 4*len(nl.Instances) + 16
-	for iter := 0; ; iter++ {
-		if iter > limit {
-			return fmt.Errorf("gates: ternary settle %s: evaluation did not settle", nl.Name)
-		}
-		changed := false
-		for i := range nl.Instances {
-			inst := &nl.Instances[i]
-			if forced[inst.Output] {
-				continue
-			}
-			c, ok := lib.Cells[inst.Cell]
-			if !ok {
-				return fmt.Errorf("gates: ternary settle %s: g%d: no cell %q in library %s", nl.Name, i, inst.Cell, lib.Name)
-			}
-			ins = ins[:0]
-			for _, in := range inst.Inputs {
-				ins = append(ins, vals[in])
-			}
-			if len(ins)+1 > len(scratch) {
-				scratch = make([]bool, len(ins)+1)
-			}
-			nv := ternaryCell(c, ins, vals[inst.Output], scratch)
-			if nv != vals[inst.Output] {
-				vals[inst.Output] = nv
-				changed = true
-			}
-		}
-		if !changed {
-			return nil
-		}
-	}
-}
-
-// DriveTernary evaluates the instance driving a net (drv is the
-// caller's nl.DriverIndex()) over settled ternary values, with the
-// net's own value as the stateful previous output. ok is false when
-// the net has no driver.
-func DriveTernary(nl *Netlist, lib *cell.Library, drv []int, vals []uint8, net int) (uint8, bool) {
-	if net < 0 || net >= len(drv) || drv[net] < 0 {
-		return TX, false
-	}
-	inst := &nl.Instances[drv[net]]
-	c, ok := lib.Cells[inst.Cell]
-	if !ok {
-		return TX, false
-	}
-	ins := make([]uint8, len(inst.Inputs))
-	for j, in := range inst.Inputs {
-		ins[j] = vals[in]
-	}
-	scratch := make([]bool, len(ins)+1)
-	return ternaryCell(c, ins, vals[net], scratch), true
 }

@@ -137,9 +137,9 @@ func randTernaryNetlist(r *lcg, gatesN int) (*Netlist, []int, int) {
 	return nl, inputs, out
 }
 
-// The compiled dual-rail ternary evaluator must agree with the
-// interpreted ternary settle oracle on every net and on the forced
-// probe, across random circuits and random ternary stimuli.
+// The compiled dual-rail ternary evaluator must agree with the oracle
+// (oracle_test.go) on every net and on the forced probe, across random
+// circuits and random ternary stimuli.
 func TestTernaryCompiledVsInterpreted(t *testing.T) {
 	lib := cell.AMS035()
 	r := lcg(0x9e3779b97f4a7c15)
@@ -171,7 +171,7 @@ func TestTernaryCompiledVsInterpreted(t *testing.T) {
 		drv := nl.DriverIndex()
 		for l := 0; l < 64; l++ {
 			vals := stim[l]
-			if err := SettleTernary(nl, lib, forced, vals); err != nil {
+			if err := oracleSettle(nl, lib, forced, vals); err != nil {
 				t.Fatalf("round %d lane %d: %v", round, l, err)
 			}
 			for net := range nl.NetNames {
@@ -179,14 +179,14 @@ func TestTernaryCompiledVsInterpreted(t *testing.T) {
 					continue
 				}
 				if got, want := ev.At(net, uint(l)), vals[net]; got != want {
-					t.Fatalf("round %d lane %d net %q: compiled %s, interpreted %s",
+					t.Fatalf("round %d lane %d net %q: compiled %s, oracle %s",
 						round, l, nl.NetNames[net], TernString(got), TernString(want))
 				}
 			}
-			wantDrv, _ := DriveTernary(nl, lib, drv, vals, out)
+			wantDrv, _ := oracleDriver(nl, lib, vals, out)
 			hi, lo, _ := ev.Driver(out)
 			if got := ternFromBits(hi>>uint(l)&1, lo>>uint(l)&1); got != wantDrv {
-				t.Fatalf("round %d lane %d: Driver(out) compiled %s, interpreted %s",
+				t.Fatalf("round %d lane %d: Driver(out) compiled %s, oracle %s",
 					round, l, TernString(got), TernString(wantDrv))
 			}
 		}

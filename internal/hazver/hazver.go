@@ -28,9 +28,9 @@
 // §16 gives the soundness argument and this boundary.
 //
 // Evaluation is bit-parallel: gates.TernaryEval packs 64 passes into
-// dual-rail lane words over the compiled Program, with the
-// interpreted ternary settle (gates.SettleTernary) as oracle and
-// fallback. Findings are HZxxx diagnostics on the shared
+// dual-rail lane words over the compiled Program, the only evaluation
+// engine; a merged circuit gates.Compile rejects is reported
+// unverified (HZ000). Findings are HZxxx diagnostics on the shared
 // internal/diag framework: HZ0xx hazards/mismatches (errors), HZ1xx
 // verification-coverage warnings, HZ200 the static report with
 // per-function worst-case X-propagation depth.
@@ -108,7 +108,7 @@ var Codes = map[string]string{
 	"HZ002": "dynamic hazard: a transitioning function may glitch before its final burst input",
 	"HZ003": "functional mismatch between mapped logic and specification at a burst endpoint",
 	"HZ100": "function net missing or undriven; its bursts cannot be verified",
-	"HZ101": "compiled ternary evaluation unavailable; verified on the interpreted path",
+	"HZ101": "compiled ternary evaluation unavailable; verified on the interpreted path", // retired: no longer emitted (HZ000 instead); never reuse
 	"HZ200": "static hazard-verification report",
 }
 
@@ -130,30 +130,24 @@ type Unit struct {
 
 // Options tunes an audit.
 type Options struct {
-	Pool        *parallel.Pool  // nil uses the process-wide default pool
-	Ctx         context.Context // nil uses context.Background()
-	Interpreted bool            // force the interpreted oracle path (testing)
+	Pool *parallel.Pool  // nil uses the process-wide default pool
+	Ctx  context.Context // nil uses context.Background()
 }
 
 // Stats is the static report for one audit.
 type Stats struct {
-	Units      int  `json:"units"`      // verifiable controllers
-	Skipped    int  `json:"skipped"`    // hand-library circuits without burst provenance
-	Functions  int  `json:"functions"`  // outputs + y* bits across all units
-	Bursts     int  `json:"bursts"`     // specified transitions verified
-	Unverified int  `json:"unverified"` // transitions skipped (undriven/missing function nets)
-	Passes     int  `json:"passes"`     // ternary evaluation passes
-	MaxXDepth  int  `json:"maxXDepth"`  // worst X-propagation depth reaching any function's driver
-	Compiled   bool `json:"compiled"`   // fast path (64-lane dual-rail) vs interpreted oracle
+	Units      int `json:"units"`      // verifiable controllers
+	Skipped    int `json:"skipped"`    // hand-library circuits without burst provenance
+	Functions  int `json:"functions"`  // outputs + y* bits across all units
+	Bursts     int `json:"bursts"`     // specified transitions verified
+	Unverified int `json:"unverified"` // transitions skipped (undriven/missing function nets, or an uncompilable circuit)
+	Passes     int `json:"passes"`     // ternary evaluation passes
+	MaxXDepth  int `json:"maxXDepth"`  // worst X-propagation depth reaching any function's driver
 }
 
 // String renders the one-line report used by the HZ200 info
 // diagnostic and the flow's -stats output.
 func (s Stats) String() string {
-	path := "interpreted"
-	if s.Compiled {
-		path = "compiled"
-	}
 	skip := ""
 	if s.Skipped > 0 {
 		skip = fmt.Sprintf(" (+%d hand-library skipped)", s.Skipped)
@@ -162,8 +156,8 @@ func (s Stats) String() string {
 	if s.Unverified > 0 {
 		unv = fmt.Sprintf(", %d unverified", s.Unverified)
 	}
-	return fmt.Sprintf("%d units%s, %d functions, %d bursts%s, %d ternary passes, worst X-depth %d, %s",
-		s.Units, skip, s.Functions, s.Bursts, unv, s.Passes, s.MaxXDepth, path)
+	return fmt.Sprintf("%d units%s, %d functions, %d bursts%s, %d ternary passes, worst X-depth %d",
+		s.Units, skip, s.Functions, s.Bursts, unv, s.Passes, s.MaxXDepth)
 }
 
 // Result is one full audit: the merged circuit's name, its
@@ -286,12 +280,23 @@ func Audit(name string, units []Unit, lib *cell.Library, opt Options) Result {
 	}
 	res.Stats.Functions = len(fns)
 
+	// The compiled 64-lane dual-rail evaluator is the only engine: a
+	// circuit it cannot levelize is not verified at all.
+	prog, err := gates.Compile(merged, lib, forced)
+	if err != nil {
+		rep.Errorf(NoLoc, "HZ000", "ternary evaluation failed (%v); the circuit could not be verified", err)
+	}
+
 	// Schedule the ternary passes, function by function so a batch's
 	// lanes for one function are contiguous.
 	var passes []tpass
 	for fi := range fns {
 		fn := &fns[fi]
 		if len(fn.trs) == 0 {
+			continue
+		}
+		if prog == nil {
+			res.Stats.Unverified += len(fn.trs)
 			continue
 		}
 		if fn.net < 0 || drv[fn.net] < 0 {
@@ -320,23 +325,9 @@ func Audit(name string, units []Unit, lib *cell.Library, opt Options) Result {
 	}
 	res.Stats.Passes = len(passes)
 
-	// Evaluate: compiled 64-lane dual-rail when the circuit compiles,
-	// interpreted ternary settle otherwise (or when forced, as the
-	// fuzz oracle).
-	var prog *gates.Program
-	if !opt.Interpreted {
-		p, err := gates.Compile(merged, lib, forced)
-		if err != nil {
-			rep.Warnf(NoLoc, "HZ101", "compiled ternary evaluation unavailable (%v); verified on the interpreted path", err)
-		} else {
-			prog = p
-		}
-	}
-	res.Stats.Compiled = prog != nil
-
 	a := &auditor{
 		units: units, fns: fns, varNets: varNets, passes: passes,
-		merged: merged, drv: drv, lib: lib, forced: forced, prog: prog,
+		merged: merged, drv: drv, forced: forced, prog: prog,
 	}
 	outs := a.run(ctx, opt.Pool)
 	for _, o := range outs {
@@ -381,9 +372,8 @@ type auditor struct {
 	passes  []tpass
 	merged  *gates.Netlist
 	drv     []int
-	lib     *cell.Library
 	forced  map[int]bool
-	prog    *gates.Program
+	prog    *gates.Program // nil only when there are no passes
 }
 
 // batchGroup batches per worker leaf: each leaf compiles its own
@@ -415,23 +405,9 @@ func (a *auditor) run(ctx context.Context, pool *parallel.Pool) []batchOut {
 		for i := range out.depth {
 			out.depth[i] = -1
 		}
-		if a.prog != nil {
-			ev := a.prog.NewTernaryEval()
-			for b := g * batchGroup; b < (g+1)*batchGroup && b < nBatches; b++ {
-				a.runBatch(ev, b, &out)
-			}
-		} else {
-			vals := make([]uint8, len(a.merged.NetNames))
-			xd := make([]uint8, len(a.merged.NetNames))
-			for b := g * batchGroup; b < (g+1)*batchGroup && b < nBatches; b++ {
-				lo, hi := b*lanes, (b+1)*lanes
-				if hi > len(a.passes) {
-					hi = len(a.passes)
-				}
-				for pi := lo; pi < hi; pi++ {
-					a.runInterp(vals, xd, &a.passes[pi], &out)
-				}
-			}
+		ev := a.prog.NewTernaryEval()
+		for b := g * batchGroup; b < (g+1)*batchGroup && b < nBatches; b++ {
+			a.runBatch(ev, b, &out)
 		}
 		// Merge per-fn observations into the fn table later, in
 		// deterministic group order.
@@ -540,39 +516,6 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
 			out.depth[fi] = int32(d)
 		}
 		pi = end
-	}
-}
-
-// runInterp evaluates one pass on the interpreted ternary settle
-// oracle and judges it. vals and xd are per-worker scratch.
-func (a *auditor) runInterp(vals, xd []uint8, p *tpass, out *batchOut) {
-	for i := range vals {
-		vals[i] = gates.TX
-	}
-	fn := &a.fns[p.fn]
-	cube := a.assignment(p)
-	vn := a.varNets[fn.unit]
-	for j, net := range vn {
-		if net >= 0 {
-			vals[net] = litTern(cube[j])
-		}
-	}
-	if err := gates.SettleTernary(a.merged, a.lib, a.forced, vals); err != nil {
-		out.diags = append(out.diags, Diag{
-			Loc: a.loc(p), Severity: SevError, Code: "HZ000",
-			Message: fmt.Sprintf("ternary evaluation failed: %v", err),
-		})
-		return
-	}
-	v, ok := gates.DriveTernary(a.merged, a.lib, a.drv, vals, fn.net)
-	if !ok {
-		return
-	}
-	a.judge(p, v, func() []int {
-		return traceX(a.merged, a.drv, a.forced, fn.net, func(n int) uint8 { return vals[n] })
-	}, out)
-	if d := a.interpDepth(vals, xd, fn.net, v); int32(d) > out.depth[p.fn] {
-		out.depth[p.fn] = int32(d)
 	}
 }
 
@@ -720,65 +663,5 @@ func traceX(nl *gates.Netlist, drv []int, forced map[int]bool, net int, at func(
 			return chain
 		}
 		cur = next
-	}
-}
-
-// interpDepth mirrors TernaryEval.DriverXDepth on the interpreted
-// path: the longest chain of X nets feeding the function's driver,
-// plus one when the driver output itself is X.
-func (a *auditor) interpDepth(vals, xd []uint8, net int, v uint8) int {
-	a.interpXD(vals, xd)
-	di := a.drv[net]
-	if di < 0 {
-		return 0
-	}
-	best := 0
-	for _, in := range a.merged.Instances[di].Inputs {
-		if vals[in] == gates.TX {
-			if d := int(xd[in]); d > best {
-				best = d
-			}
-		}
-	}
-	if v == gates.TX {
-		best++
-	}
-	return best
-}
-
-// interpXD computes per-net X depths into xd by fixed-point sweeps:
-// an X net computed by a gate sits one above its deepest X input;
-// sources and binary nets are depth 0. The forced cut makes the
-// graph acyclic, so the sweep converges.
-func (a *auditor) interpXD(vals, xd []uint8) {
-	for i := range xd {
-		xd[i] = 0
-	}
-	limit := 4*len(a.merged.Instances) + 16
-	for iter := 0; iter < limit; iter++ {
-		changed := false
-		for i := range a.merged.Instances {
-			inst := &a.merged.Instances[i]
-			out := inst.Output
-			if a.forced[out] || a.drv[out] != i || vals[out] != gates.TX {
-				continue
-			}
-			d := uint8(0)
-			for _, in := range inst.Inputs {
-				if vals[in] == gates.TX && xd[in] > d {
-					d = xd[in]
-				}
-			}
-			if d < 255 {
-				d++
-			}
-			if xd[out] != d {
-				xd[out] = d
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
 	}
 }

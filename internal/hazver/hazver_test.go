@@ -88,7 +88,7 @@ func TestStaticHazardCaught(t *testing.T) {
 	if !strings.Contains(hz.Message, `net "mux.t1"`) && !strings.Contains(hz.Message, `net "mux.t2"`) {
 		t.Fatalf("message does not name the offending net: %s", hz.Message)
 	}
-	if !res.Stats.Compiled || res.Stats.Bursts != 1 || res.Stats.Passes != 3 {
+	if res.Stats.Bursts != 1 || res.Stats.Passes != 3 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
 	if res.Stats.MaxXDepth < 2 {
@@ -208,23 +208,26 @@ func TestMergedNamespacing(t *testing.T) {
 	}
 }
 
-// stripVolatile drops the diagnostics whose content legitimately
-// differs between the compiled and interpreted paths (the HZ200
-// report names the path; HZ101 only fires on compile failure).
-func stripVolatile(ds []Diag) []Diag {
-	var out []Diag
-	for _, d := range ds {
-		if d.Code == "HZ200" || d.Code == "HZ101" {
-			continue
-		}
-		out = append(out, d)
+// A merged circuit with a combinational cycle the forced cut misses
+// cannot be evaluated in one levelized pass. It must fail the audit
+// with HZ000, not pass unverified.
+func TestUncutCycleIsUnverified(t *testing.T) {
+	lib := cell.AMS035()
+	nl := cleanMux()
+	loop := nl.Fresh("loop")
+	nl.AddInstance("OR2", []int{loop, nl.Net("a")}, loop, 0)
+	res := Audit("t", []Unit{unit1(nl, []string{"a", "b", "c"}, aFalls)}, lib, Options{})
+	if !diag.HasCode(res.Diags, "HZ000") || !HasErrors(res.Diags) {
+		t.Fatalf("want an HZ000 error:\n%s", Format(res.Diags, "t"))
 	}
-	return out
+	if res.Stats.Unverified != 1 || res.Stats.Bursts != 0 || res.Stats.Passes != 0 {
+		t.Fatalf("stats = %+v", res.Stats)
+	}
 }
 
-// The compiled 64-lane path and the interpreted oracle must agree on
-// every diagnostic and on the depth report, at any worker count.
-func TestCompiledVsInterpretedAgreement(t *testing.T) {
+// Every diagnostic and the depth report must be independent of the
+// worker count.
+func TestAuditDeterministicAcrossWorkers(t *testing.T) {
 	lib := cell.AMS035()
 	mkUnits := func() []Unit {
 		rise := hfmin.Transition{
@@ -242,21 +245,17 @@ func TestCompiledVsInterpretedAgreement(t *testing.T) {
 		return []Unit{u1, u2}
 	}
 	base := Audit("t", mkUnits(), lib, Options{})
-	if !base.Stats.Compiled {
-		t.Fatal("base audit did not take the compiled path")
+	if !HasErrors(base.Diags) || base.Stats.MaxXDepth < 2 {
+		t.Fatalf("base audit found no hazard:\n%s", Format(base.Diags, "t"))
 	}
+	want := fmt.Sprintf("%v", base.Diags)
 	for _, j := range []int{1, 2, 7} {
-		pool := parallel.NewPool(j)
-		for _, interp := range []bool{false, true} {
-			res := Audit("t", mkUnits(), lib, Options{Pool: pool, Interpreted: interp})
-			got := fmt.Sprintf("%v", stripVolatile(res.Diags))
-			want := fmt.Sprintf("%v", stripVolatile(base.Diags))
-			if got != want {
-				t.Fatalf("j=%d interpreted=%v diverged:\n%s\nwant:\n%s", j, interp, got, want)
-			}
-			if res.Stats.MaxXDepth != base.Stats.MaxXDepth {
-				t.Fatalf("j=%d interpreted=%v: X depth %d, want %d", j, interp, res.Stats.MaxXDepth, base.Stats.MaxXDepth)
-			}
+		res := Audit("t", mkUnits(), lib, Options{Pool: parallel.NewPool(j)})
+		if got := fmt.Sprintf("%v", res.Diags); got != want {
+			t.Fatalf("j=%d diverged:\n%s\nwant:\n%s", j, got, want)
+		}
+		if res.Stats != base.Stats {
+			t.Fatalf("j=%d: stats %+v, want %+v", j, res.Stats, base.Stats)
 		}
 	}
 }

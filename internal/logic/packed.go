@@ -369,22 +369,11 @@ func AnyIntersectsPacked(cover []PackedCube, p PackedCube) bool {
 	return false
 }
 
-// EvalPointWords evaluates a packed cover at a minterm given in
-// PointWords form — the audit loops' replacement for Cover.Eval.
-func EvalPointWords(cover []PackedCube, point []uint64) bool {
-	for i := range cover {
-		if cover[i].ContainsPointWords(point) {
-			return true
-		}
-	}
-	return false
-}
-
 // EvalCoverLanes evaluates a packed cover on 64 sample points at
 // once: varLanes[v] carries the 64 values of variable v (bit l = the
 // variable's value at point l), and bit l of the result is the
 // cover's value at point l. This is the reference side of the
-// compiled netlist audit: one call replaces 64 EvalPointWords walks.
+// compiled netlist audit: one call replaces 64 per-point cover walks.
 func EvalCoverLanes(cover []PackedCube, varLanes []uint64) uint64 {
 	var out uint64
 	for i := range cover {

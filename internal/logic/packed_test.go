@@ -171,14 +171,14 @@ func TestPackedCoverHelpers(t *testing.T) {
 	}
 	for p := 0; p < 8; p++ {
 		bitsv := []bool{p&1 != 0, p&2 != 0, p&4 != 0}
-		if got, want := EvalPointWords(pcv, sp.PointWords(bitsv)), cv.Eval(bitsv); got != want {
-			t.Fatalf("EvalPointWords(%v)=%t want %t", bitsv, got, want)
+		if got, want := evalPointWords(pcv, sp.PointWords(bitsv)), cv.Eval(bitsv); got != want {
+			t.Fatalf("evalPointWords(%v)=%t want %t", bitsv, got, want)
 		}
 	}
 }
 
 // EvalCoverLanes evaluates 64 points per call; every lane must agree
-// with the per-point EvalPointWords walk, including spaces wider than
+// with the per-point evalPointWords walk, including spaces wider than
 // one word (cube planes span words, the lane result must not).
 func TestEvalCoverLanesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -204,7 +204,7 @@ func TestEvalCoverLanesAgree(t *testing.T) {
 			}
 			got := EvalCoverLanes(pcv, varLanes)
 			for l, pt := range points {
-				want := EvalPointWords(pcv, sp.PointWords(pt))
+				want := evalPointWords(pcv, sp.PointWords(pt))
 				if got>>uint(l)&1 != 0 != want {
 					t.Fatalf("n=%d trial=%d lane=%d: got %v want %v", n, trial, l, !want, want)
 				}
@@ -316,4 +316,16 @@ func benchName(op string, n int) string {
 		return op + "/vars20"
 	}
 	return op + "/vars130"
+}
+
+// evalPointWords evaluates a packed cover at one minterm given in
+// PointWords form: the per-point reference EvalCoverLanes is checked
+// against.
+func evalPointWords(cover []PackedCube, point []uint64) bool {
+	for i := range cover {
+		if cover[i].ContainsPointWords(point) {
+			return true
+		}
+	}
+	return false
 }

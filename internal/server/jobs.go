@@ -610,7 +610,7 @@ func netlistKey(n *core.Netlist) string {
 // never answers a new submission from disk. Change it whenever the
 // encoding of api.JobResult changes, or whenever the same request can
 // compute a different result (as flow's synthVersion records).
-const resultFormat = "results=3"
+const resultFormat = "results=4"
 
 // prepare validates a request and returns its executor closure and
 // dedup key, tagged with resultFormat.

@@ -447,73 +447,106 @@ type mappedCheck struct {
 	cover []logic.PackedCube
 }
 
-// CheckMappedOpt is CheckMapped with explicit pool/context. The fast
-// path compiles the netlist once (gates.Compile with the forced nets
-// as cut points) and sweeps the sample space 64 points per pass, each
-// pass checked word-parallel against the packed reference covers
-// (logic.EvalCoverLanes); point batches fan out deterministically
-// over the worker pool. When the netlist does not compile — a
-// combinational cycle the forced cut misses, a stateful cell outside
-// the cut — it falls back to the interpreted per-point reference
-// loop.
+// CheckMappedOpt is CheckMapped with explicit pool/context. It
+// compiles the netlist once (gates.Compile with the forced nets as cut
+// points) and sweeps the sample space 64 points per pass, each pass
+// checked word-parallel against the packed reference covers
+// (logic.EvalCoverLanes); point batches fan out deterministically over
+// the worker pool. A netlist that does not compile — a combinational
+// cycle the forced cut misses, a stateful cell outside the cut —
+// cannot be checked, and the compile error is returned. The netlist
+// is only read, never modified.
 func CheckMappedOpt(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Library, opt CheckOptions) error {
 	vars := ctrl.Vars
+	netOf := func(name string) int {
+		if !nl.HasNet(name) {
+			return -1
+		}
+		return nl.Net(name)
+	}
+	// Pack every reference cover once; sampled points then evaluate
+	// word-parallel instead of per-literal per cube. Outputs are
+	// checked in specification order, then the state bits.
+	space := logic.NewSpace(len(vars))
+	checks := make([]mappedCheck, 0, len(ctrl.Spec.Outputs)+len(ctrl.NextState))
+	for _, z := range ctrl.Spec.Outputs {
+		checks = append(checks, mappedCheck{kind: "output", name: z, net: netOf(z), cover: space.PackCover(ctrl.Outputs[z])})
+	}
+	for i, cv := range ctrl.NextState {
+		y := fmt.Sprintf("y%d", i)
+		checks = append(checks, mappedCheck{kind: "state bit", name: y, net: netOf(y), cover: space.PackCover(cv)})
+	}
 	// Forced evaluation: outputs are fed back as state variables and
 	// y* nets hold the excitation state, so the audit forces both and
-	// evaluates every function through its driving instance. State-bit
-	// names are computed once, not per sample point.
-	yNames := make([]string, ctrl.StateBits)
-	for i := range yNames {
-		yNames[i] = fmt.Sprintf("y%d", i)
+	// evaluates every function through its driving instance, which
+	// must exist.
+	drv := nl.DriverIndex()
+	forced := make(map[int]bool, len(checks))
+	for _, ck := range checks {
+		if ck.net < 0 || drv[ck.net] < 0 {
+			return fmt.Errorf("techmap: %s: net %s has no driver", nl.Name, ck.name)
+		}
+		forced[ck.net] = true
 	}
-	forced := make(map[int]bool, len(ctrl.Spec.Outputs)+len(yNames))
-	for _, z := range ctrl.Spec.Outputs {
-		forced[nl.Net(z)] = true
+	prog, err := gates.Compile(nl, lib, forced)
+	if err != nil {
+		return fmt.Errorf("techmap: %s: cannot check mapped logic: %w", nl.Name, err)
 	}
-	for _, y := range yNames {
-		forced[nl.Net(y)] = true
+	varNets := make([]int, len(vars))
+	for i, v := range vars {
+		varNets[i] = netOf(v)
 	}
 	exhaustive := len(vars) <= 14
 	total := 1 << 14
 	if exhaustive {
 		total = 1 << len(vars)
 	}
-	// Pack every reference cover once; sampled points then evaluate
-	// word-parallel instead of per-literal per cube. Outputs are
-	// checked in specification order, then the extra state bits.
-	space := logic.NewSpace(len(vars))
-	checks := make([]mappedCheck, 0, len(ctrl.Spec.Outputs)+len(ctrl.NextState))
-	for _, z := range ctrl.Spec.Outputs {
-		checks = append(checks, mappedCheck{kind: "output", name: z, net: nl.Net(z), cover: space.PackCover(ctrl.Outputs[z])})
+	words := sampleLanes(len(vars), total, exhaustive)
+	batches := (len(words) + blocksPerBatch - 1) / blocksPerBatch
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	for i, cv := range ctrl.NextState {
-		checks = append(checks, mappedCheck{kind: "state bit", name: yNames[i], net: nl.Net(yNames[i]), cover: space.PackCover(cv)})
-	}
-	// Every checked net must have a driving instance to recompute.
-	drv := nl.DriverIndex()
-	for _, ck := range checks {
-		if drv[ck.net] < 0 {
-			return fmt.Errorf("techmap: %s: net %s has no driver", nl.Name, ck.name)
+	// parallel.MapCtx keeps error selection deterministic (lowest
+	// failing batch wins) and each batch scans its blocks in order, so
+	// the reported mismatch is the lowest failing sample point at any
+	// worker count.
+	_, err = parallel.MapCtx(ctx, opt.Pool, batches, func(bi int) (struct{}, error) {
+		ev := prog.NewEval()
+		lo := bi * blocksPerBatch
+		hi := min(lo+blocksPerBatch, len(words))
+		for b := lo; b < hi; b++ {
+			w := words[b]
+			ev.Reset()
+			for i, net := range varNets {
+				if net >= 0 {
+					ev.Set(net, w[i])
+				}
+			}
+			ev.Run()
+			valid := ^uint64(0)
+			if rem := total - b*64; rem < 64 {
+				valid = 1<<uint(rem) - 1
+			}
+			for _, ck := range checks {
+				got, _ := ev.Driver(ck.net)
+				want := logic.EvalCoverLanes(ck.cover, w)
+				if diff := (got ^ want) & valid; diff != 0 {
+					lane := bits.TrailingZeros64(diff)
+					return struct{}{}, fmt.Errorf("techmap: %s: %s %s differs from cover at %v",
+						nl.Name, ck.kind, ck.name, assignAt(vars, w, lane))
+				}
+			}
 		}
-	}
-	varNets := make([]int, len(vars))
-	for i, v := range vars {
-		varNets[i] = -1
-		if nl.HasNet(v) {
-			varNets[i] = nl.Net(v)
-		}
-	}
-	if prog, err := gates.Compile(nl, lib, forced); err == nil {
-		return checkMappedCompiled(nl, prog, vars, varNets, checks, total, exhaustive, opt)
-	}
-	return checkMappedInterpreted(nl, lib, space, vars, varNets, forced, checks, total, exhaustive)
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // sampleLanes generates the audit's sample points packed 64 to a
 // block: block b, variable i holds points 64b..64b+63 of the sweep —
-// the full 2^n space when exhaustive, the pseudo-random stream
-// otherwise (the same LCG stream, in the same order, as the
-// interpreted loop draws).
+// the full 2^n space when exhaustive, a fixed pseudo-random LCG
+// stream otherwise.
 func sampleLanes(nVars, total int, exhaustive bool) [][]uint64 {
 	blocks := (total + 63) / 64
 	words := make([][]uint64, blocks)
@@ -554,161 +587,6 @@ func assignAt(vars []string, words []uint64, lane int) map[string]bool {
 // eight leaves per audited controller without per-block scheduling
 // overhead.
 const blocksPerBatch = 32
-
-func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, varNets []int, checks []mappedCheck, total int, exhaustive bool, opt CheckOptions) error {
-	words := sampleLanes(len(vars), total, exhaustive)
-	batches := (len(words) + blocksPerBatch - 1) / blocksPerBatch
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// parallel.MapCtx keeps error selection deterministic (lowest
-	// failing batch wins) and each batch scans its blocks in order, so
-	// the reported mismatch is the lowest failing sample point at any
-	// worker count.
-	_, err := parallel.MapCtx(ctx, opt.Pool, batches, func(bi int) (struct{}, error) {
-		ev := prog.NewEval()
-		lo := bi * blocksPerBatch
-		hi := min(lo+blocksPerBatch, len(words))
-		for b := lo; b < hi; b++ {
-			w := words[b]
-			ev.Reset()
-			for i, net := range varNets {
-				if net >= 0 {
-					ev.Set(net, w[i])
-				}
-			}
-			ev.Run()
-			valid := ^uint64(0)
-			if rem := total - b*64; rem < 64 {
-				valid = 1<<uint(rem) - 1
-			}
-			for _, ck := range checks {
-				got, _ := ev.Driver(ck.net)
-				want := logic.EvalCoverLanes(ck.cover, w)
-				if diff := (got ^ want) & valid; diff != 0 {
-					lane := bits.TrailingZeros64(diff)
-					return struct{}{}, fmt.Errorf("techmap: %s: %s %s differs from cover at %v",
-						nl.Name, ck.kind, ck.name, assignAt(vars, w, lane))
-				}
-			}
-		}
-		return struct{}{}, nil
-	})
-	return err
-}
-
-// checkMappedInterpreted is the reference path: the interpreted
-// settle loop per sample point, with the per-point garbage hoisted —
-// value, point and scratch buffers are reused across the sweep and
-// driver lookups go through the netlist's driver index.
-func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.Space, vars []string, varNets []int, forced map[int]bool, checks []mappedCheck, total int, exhaustive bool) error {
-	drv := nl.DriverIndex()
-	maxIns := 0
-	for i := range nl.Instances {
-		if n := len(nl.Instances[i].Inputs); n > maxIns {
-			maxIns = n
-		}
-	}
-	ins := make([]bool, maxIns)
-	vals := make([]bool, len(nl.NetNames))
-	point := make([]bool, len(vars))
-	pw := make([]uint64, space.Words())
-	rng := uint64(0x9e3779b97f4a7c15)
-	for p := 0; p < total; p++ {
-		sample := uint64(p)
-		if !exhaustive {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			sample = rng >> 16
-		}
-		for i := range vals {
-			vals[i] = false
-		}
-		for i := range pw {
-			pw[i] = 0
-		}
-		for i := range vars {
-			point[i] = sample&(1<<uint(i)) != 0
-			if point[i] {
-				pw[i>>6] |= 1 << uint(i&63)
-			}
-			if net := varNets[i]; net >= 0 {
-				vals[net] = point[i]
-			}
-		}
-		if err := settleForcedVals(nl, lib, vals, forced, ins); err != nil {
-			return err
-		}
-		for _, ck := range checks {
-			inst := &nl.Instances[drv[ck.net]]
-			c := lib.Get(inst.Cell)
-			scratch := ins[:len(inst.Inputs)]
-			for i, in := range inst.Inputs {
-				scratch[i] = vals[in]
-			}
-			got := c.Eval(scratch, vals[ck.net])
-			if got != logic.EvalPointWords(ck.cover, pw) {
-				assign := make(map[string]bool, len(vars))
-				for i, v := range vars {
-					assign[v] = point[i]
-				}
-				return fmt.Errorf("techmap: %s: %s %s differs from cover at %v", nl.Name, ck.kind, ck.name, assign)
-			}
-		}
-	}
-	return nil
-}
-
-// settleForced evaluates combinational logic with certain nets held
-// at externally-assigned values. It is the interpreted reference the
-// compiled engine is fuzz-tested against (FuzzCompiledEvalAgreement).
-func settleForced(nl *gates.Netlist, lib *cell.Library, inputs map[string]bool, forced map[int]bool) ([]bool, error) {
-	vals := make([]bool, len(nl.NetNames))
-	for name, v := range inputs {
-		if !nl.HasNet(name) {
-			continue
-		}
-		vals[nl.Net(name)] = v
-	}
-	maxIns := 0
-	for i := range nl.Instances {
-		if n := len(nl.Instances[i].Inputs); n > maxIns {
-			maxIns = n
-		}
-	}
-	if err := settleForcedVals(nl, lib, vals, forced, make([]bool, maxIns)); err != nil {
-		return nil, err
-	}
-	return vals, nil
-}
-
-// settleForcedVals is settleForced's core loop over a caller-owned
-// value vector (already holding the external assignments) and input
-// scratch, so the audit's fallback path allocates nothing per point.
-func settleForcedVals(nl *gates.Netlist, lib *cell.Library, vals []bool, forced map[int]bool, ins []bool) error {
-	for iter := 0; iter < 4*len(nl.Instances)+16; iter++ {
-		changed := false
-		for _, inst := range nl.Instances {
-			if forced[inst.Output] {
-				continue
-			}
-			c := lib.Get(inst.Cell)
-			scratch := ins[:len(inst.Inputs)]
-			for i, in := range inst.Inputs {
-				scratch[i] = vals[in]
-			}
-			out := c.Eval(scratch, vals[inst.Output])
-			if out != vals[inst.Output] {
-				vals[inst.Output] = out
-				changed = true
-			}
-		}
-		if !changed {
-			return nil
-		}
-	}
-	return fmt.Errorf("techmap: %s: audit evaluation did not settle", nl.Name)
-}
 
 // ModuleAreas returns per-module area (the paper's three-module split:
 // module 1 = first NAND level + input inverters, module 2 = second

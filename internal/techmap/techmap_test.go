@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"balsabm/internal/bm"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
 	"balsabm/internal/minimalist"
+	"balsabm/internal/sim"
 )
 
 func controller(t *testing.T, name, src string) *minimalist.Controller {
@@ -154,8 +154,10 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// The mapped controller's settled behavior matches the walk over the
-// spec for the baseline mode too (dynamic check via gates.Settle).
+// The baseline passivator walks its protocol on the event-driven
+// simulator: both acknowledges rise once both requests are up, the
+// C-element holds while only one request has fallen, and both fall
+// once both requests are down.
 func TestAreaSharedFunctional(t *testing.T) {
 	lib := cell.AMS035()
 	ctrl := controller(t, "passivator", passivatorSrc)
@@ -163,43 +165,32 @@ func TestAreaSharedFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the passivator protocol: raise A_r and B_r; acknowledge
-	// must rise; lower both; acknowledges fall.
-	vals, err := nl.Settle(lib, map[string]bool{"A_r": false, "B_r": false}, nil)
-	if err != nil {
+	s := sim.New(lib)
+	s.AddNetlist(nl, "pass", nil)
+	if err := s.Init(); err != nil {
 		t.Fatal(err)
 	}
-	get := func(name string) bool {
-		v, err := nl.Value(vals, name)
-		if err != nil {
+	step := func(a, b bool) {
+		t.Helper()
+		s.Schedule("A_r", a, 1)
+		s.Schedule("B_r", b, 1)
+		if err := s.Run(s.Time+100, 1000); err != nil {
 			t.Fatal(err)
 		}
-		return v
 	}
-	if get("A_a") || get("B_a") {
+	if s.Value("A_a") || s.Value("B_a") {
 		t.Fatal("acknowledges high at reset")
 	}
-	vals, err = nl.Settle(lib, map[string]bool{"A_r": true, "B_r": true}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !get("A_a") || !get("B_a") {
+	step(true, true)
+	if !s.Value("A_a") || !s.Value("B_a") {
 		t.Fatal("acknowledges did not rise")
 	}
-	// Only one request low: C-element holds.
-	vals, err = nl.Settle(lib, map[string]bool{"A_r": false, "B_r": true}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !get("A_a") {
+	step(false, true)
+	if !s.Value("A_a") || !s.Value("B_a") {
 		t.Fatal("C-element did not hold")
 	}
-	vals, err = nl.Settle(lib, map[string]bool{"A_r": false, "B_r": false}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if get("A_a") || get("B_a") {
+	step(false, false)
+	if s.Value("A_a") || s.Value("B_a") {
 		t.Fatal("acknowledges did not fall")
 	}
-	_ = bm.Burst{}
 }

@@ -214,8 +214,8 @@ func TestRunConfigWritesVetxAndSkips(t *testing.T) {
 
 func TestDiagcodeFires(t *testing.T) {
 	got, wants, fset := runOnTestdata(t, "diagcode", "example.com/diagcodetest", diagcodeAnalyzer)
-	if len(got) != 4 {
-		t.Fatalf("diagcode produced %d findings on its testdata, want 4: %v", len(got), got)
+	if len(got) != 5 {
+		t.Fatalf("diagcode produced %d findings on its testdata, want 5: %v", len(got), got)
 	}
 	checkWants(t, got, wants, fset)
 	// The _test.go file constructs an unregistered code; none of the

@@ -21,7 +21,12 @@ import (
 //     (an undocumented diagnostic the registry doesn't know about),
 //   - a registered code never constructed anywhere in the package
 //     (a dead table row — or a pass that silently stopped emitting),
-//   - a registered code with an empty doc string.
+//   - a registered code with an empty doc string,
+//   - a retired code that is constructed again.
+//
+// Codes are append-only, so a code a pass stops emitting keeps its row
+// and is marked retired with a line comment starting "retired" on the
+// row; a retired row is exempt from the never-constructed check.
 //
 // Packages without a Codes table are exempt, as are _test.go files.
 var diagcodeAnalyzer = &Analyzer{
@@ -34,8 +39,9 @@ var diagCodeRe = regexp.MustCompile(`^(CH|NL|BM|HZ)[0-9]{3}$`)
 
 func runDiagcode(pass *Pass) {
 	type entry struct {
-		pos token.Pos
-		doc string
+		pos     token.Pos
+		doc     string
+		retired bool
 	}
 	registered := map[string]entry{}
 	var codesLit *ast.CompositeLit
@@ -48,6 +54,14 @@ func runDiagcode(pass *Pass) {
 	for _, f := range pass.Files {
 		if testFile(f) {
 			continue
+		}
+		retiredLines := map[int]bool{}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "retired") {
+					retiredLines[pass.Fset.Position(c.Pos()).Line] = true
+				}
+			}
 		}
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -78,7 +92,8 @@ func runDiagcode(pass *Pass) {
 							continue
 						}
 						doc, _ := stringLit(kv.Value)
-						registered[key] = entry{pos: kv.Key.Pos(), doc: doc}
+						registered[key] = entry{pos: kv.Key.Pos(), doc: doc,
+							retired: retiredLines[pass.Fset.Position(kv.End()).Line]}
 					}
 				}
 			}
@@ -108,10 +123,12 @@ func runDiagcode(pass *Pass) {
 				return true
 			}
 			constructed[code] = true
-			if _, ok := registered[code]; !ok {
+			if e, ok := registered[code]; !ok {
 				pass.Reportf(lit.Pos(),
 					"diagnostic code %q constructed but not registered in this package's Codes table",
 					code)
+			} else if e.retired {
+				pass.Reportf(lit.Pos(), "diagnostic code %q is retired and must not be constructed", code)
 			}
 			return true
 		})
@@ -120,7 +137,7 @@ func runDiagcode(pass *Pass) {
 	// Every table row must be live and documented. Report in source
 	// order (the rows are sorted into position order by the framework).
 	for code, e := range registered {
-		if !constructed[code] {
+		if !constructed[code] && !e.retired {
 			pass.Reportf(e.pos,
 				"diagnostic code %q is registered in Codes but never constructed in this package",
 				code)
